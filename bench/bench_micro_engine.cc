@@ -140,6 +140,24 @@ void BM_DiskComputeService(benchmark::State& state) {
 }
 BENCHMARK(BM_DiskComputeService);
 
+// One op's full trip through the mechanism: Submit, FCFS queue, service-time
+// computation, the completion event and the callback. Ops are submitted one
+// at a time, each after the previous completed, so the queue stays shallow.
+void BM_DiskSubmitComplete(benchmark::State& state) {
+  Simulator sim;
+  DiskModel disk(&sim, DiskSpec::HpC3325Like(), 0);
+  Rng rng(42);
+  const int64_t total = disk.TotalSectors();
+  int64_t sink = 0;
+  for (auto _ : state) {
+    const DiskOp op{rng.UniformInt(0, total - 17), 16, rng.Bernoulli(0.5)};
+    disk.Submit(op, [&sink](const DiskOpResult& r) { sink += r.finish; });
+    sim.RunToEnd();
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_DiskSubmitComplete);
+
 void BM_LayoutSplit(benchmark::State& state) {
   StripeLayout layout(5, 8192, 2'000'000'000, 1);
   Rng rng(42);

@@ -14,11 +14,45 @@ DiskModel::DiskModel(Simulator* sim, DiskSpec spec, int32_t disk_id, Probe probe
       seek_model_(spec_.seek),
       disk_id_(disk_id),
       probe_(probe),
+      rev_(spec_.RevolutionTime()),
+      rev_d_(static_cast<double>(rev_)),
+      rev_div_(rev_),
       busy_time_(sim->Now()) {
   // Freeze the seek curve into a per-distance table: the longest possible
   // move is TotalCylinders-1, so every SeekTime the mechanism can ask for
   // becomes a load instead of a sqrt. The table is exact (see seek_model.h).
   seek_model_.PrecomputeTable(geometry_.TotalCylinders() - 1);
+
+  // Per-zone rotation tables: a slot's angular position and the media time
+  // of every run length a track can hold, each filled with the expression
+  // the per-track computation used, so lookups are bit-identical to it.
+  // Both vectors are sized up front: each ZoneTiming points into them.
+  size_t frac_size = 0;
+  size_t media_size = 0;
+  for (const DiskZone& z : spec_.zones) {
+    frac_size += static_cast<size_t>(z.sectors_per_track);
+    media_size += static_cast<size_t>(z.sectors_per_track) + 1;
+  }
+  slot_frac_.reserve(frac_size);
+  media_.reserve(media_size);
+  zones_.reserve(spec_.zones.size());
+  for (const DiskZone& z : spec_.zones) {
+    const int32_t spt = z.sectors_per_track;
+    ZoneTiming zt;
+    zt.skew = TrackSkew(spt);
+    zt.skew_step = static_cast<int32_t>(zt.skew % spt);
+    zt.sectors_per_track = spt;
+    zt.track_div = FastDiv64(spt);
+    zt.slot_frac = slot_frac_.data() + slot_frac_.size();
+    for (int32_t slot = 0; slot < spt; ++slot) {
+      slot_frac_.push_back(static_cast<double>(slot) / spt);
+    }
+    zt.media = media_.data() + media_.size();
+    for (int32_t n = 0; n <= spt; ++n) {
+      media_.push_back(static_cast<SimDuration>(rev_d_ * n / spt + 0.5));
+    }
+    zones_.push_back(zt);
+  }
   if (probe_) {
     queue_counter_name_ = "disk" + std::to_string(disk_id_) + " queue";
   }
@@ -30,26 +64,21 @@ int32_t DiskModel::TrackSkew(int32_t sectors_per_track) const {
   // track-to-track seek plus write settle -- plus one sector of margin.
   // (Real disks use a smaller skew for head switches; the approximation
   // costs well under a millisecond per head switch.)
-  const double rev = static_cast<double>(spec_.RevolutionTime());
   const double worst_move = std::max<double>(
       static_cast<double>(spec_.head_switch),
       static_cast<double>(seek_model_.SeekTime(1) + spec_.write_settle));
-  const double frac = worst_move / rev;
+  const double frac = worst_move / rev_d_;
   return static_cast<int32_t>(std::ceil(frac * sectors_per_track)) + 1;
 }
 
-SimDuration DiskModel::RotationalWait(SimTime now, const Chs& chs) const {
-  const int64_t rev = spec_.RevolutionTime();
-  const int32_t spt = chs.sectors_per_track;
-  const int64_t skew = static_cast<int64_t>(TrackSkew(spt)) * chs.track_index;
-  const int32_t slot = static_cast<int32_t>((chs.sector + skew) % spt);
-  const double target_frac = static_cast<double>(slot) / spt;
-  const double cur_frac = static_cast<double>(now % rev) / static_cast<double>(rev);
-  double wait_frac = target_frac - cur_frac;
+SimDuration DiskModel::RotationalWait(SimTime now, const ZoneTiming& zone,
+                                      int32_t slot) const {
+  const double cur_frac = static_cast<double>(rev_div_.Mod(now)) / rev_d_;
+  double wait_frac = zone.slot_frac[slot] - cur_frac;
   if (wait_frac < 0.0) {
     wait_frac += 1.0;
   }
-  return static_cast<SimDuration>(wait_frac * static_cast<double>(rev) + 0.5);
+  return static_cast<SimDuration>(wait_frac * rev_d_ + 0.5);
 }
 
 ServiceBreakdown DiskModel::ComputeService(SimTime start, const DiskOp& op,
@@ -63,68 +92,88 @@ ServiceBreakdown DiskModel::ComputeService(SimTime start, const DiskOp& op,
   SimTime t = start + bd.overhead;
 
   Chs chs = geometry_.ToChs(op.lba);
-  bd.seek = seek_model_.SeekTime(chs.cylinder - from_cylinder);
-  if (op.is_write) {
-    bd.seek += spec_.write_settle;
-  }
+  // Writes settle after every repositioning.
+  const SimDuration settle = op.is_write ? spec_.write_settle : 0;
+  bd.seek = seek_model_.SeekTime(chs.cylinder - from_cylinder) + settle;
   t += bd.seek;
+  const SimDuration cylinder_step = seek_model_.SeekTime(1) + settle;
 
-  const int64_t rev = spec_.RevolutionTime();
-  int64_t lba = op.lba;
+  // A sector's rotational slot is its index shifted by the skew accumulated
+  // over every earlier track: (sector + skew * track_index) mod spt. The
+  // shift of the current track is carried from track to track.
+  const ZoneTiming* zone = &zones_[static_cast<size_t>(chs.zone)];
+  int32_t track_shift = static_cast<int32_t>(zone->track_div.Mod(zone->skew * chs.track_index));
+  int32_t slot = chs.sector + track_shift;
+  if (slot >= zone->sectors_per_track) {
+    slot -= zone->sectors_per_track;
+  }
   int32_t remaining = op.sectors;
-  bool first_track = true;
-  while (remaining > 0) {
-    if (!first_track) {
-      // Move to the next track: same cylinder -> head switch; otherwise a
-      // (short) seek. Writes settle again after the repositioning.
-      const Chs next = geometry_.ToChs(lba);
-      SimDuration move = 0;
-      if (next.cylinder == chs.cylinder) {
-        move = spec_.head_switch;
-      } else {
-        move = seek_model_.SeekTime(next.cylinder - chs.cylinder);
-        if (op.is_write) {
-          move += spec_.write_settle;
-        }
-      }
-      bd.transfer += move;
-      t += move;
-      chs = next;
-    }
-    const SimDuration rot = RotationalWait(t, chs);
+  int32_t on_track = std::min(remaining, zone->sectors_per_track - chs.sector);
+  for (;;) {
+    const SimDuration rot = RotationalWait(t, *zone, slot);
     bd.rotation += rot;
     t += rot;
-
-    const int32_t on_track = std::min<int32_t>(remaining, chs.sectors_per_track - chs.sector);
-    const auto media = static_cast<SimDuration>(
-        static_cast<double>(rev) * on_track / chs.sectors_per_track + 0.5);
+    const SimDuration media = zone->media[on_track];
     bd.transfer += media;
     t += media;
-    lba += on_track;
     remaining -= on_track;
-    first_track = false;
+    if (remaining == 0) {
+      break;
+    }
+    // Move to the next track: same cylinder -> head switch; otherwise a
+    // one-cylinder seek.
+    const int32_t prev_zone = chs.zone;
+    geometry_.NextTrack(&chs);
+    const SimDuration move = chs.head != 0 ? spec_.head_switch : cylinder_step;
+    bd.transfer += move;
+    t += move;
+    if (chs.zone != prev_zone) {
+      zone = &zones_[static_cast<size_t>(chs.zone)];
+      track_shift = static_cast<int32_t>(zone->track_div.Mod(zone->skew * chs.track_index));
+    } else {
+      track_shift += zone->skew_step;
+      if (track_shift >= zone->sectors_per_track) {
+        track_shift -= zone->sectors_per_track;
+      }
+    }
+    slot = track_shift;
+    on_track = std::min(remaining, zone->sectors_per_track);
   }
 
   if (end_cylinder != nullptr) {
     // Arm finishes over the cylinder holding the final sector.
-    *end_cylinder = geometry_.ToChs(lba - 1).cylinder;
+    *end_cylinder = chs.cylinder;
   }
   return bd;
+}
+
+int32_t DiskModel::AcquireSlot() {
+  if (free_slots_.empty()) {
+    const auto base = static_cast<int32_t>(slot_chunks_.size()) * kSlotChunk;
+    slot_chunks_.push_back(std::make_unique<OpSlot[]>(kSlotChunk));
+    for (int32_t i = kSlotChunk - 1; i >= 0; --i) {
+      free_slots_.push_back(base + i);
+    }
+  }
+  const int32_t index = free_slots_.back();
+  free_slots_.pop_back();
+  return index;
 }
 
 void DiskModel::Submit(const DiskOp& op, DiskOpCallback done) {
   assert(op.sectors > 0);
   const SimTime now = sim_->Now();
+  const int32_t index = AcquireSlot();
+  OpSlot& s = Slot(index);
+  s.op = op;
+  s.submitted = now;
+  s.done = std::move(done);
   if (failed_) {
-    DiskOpResult result;
-    result.ok = false;
-    result.submitted = now;
-    result.service_start = now;
-    result.finish = now;
-    sim_->After(0, [done = std::move(done), result]() mutable { done(result); });
+    s.service_start = now;
+    sim_->After(0, [this, index] { FailSlot(index); });
     return;
   }
-  queue_.push_back(Pending{op, std::move(done), now});
+  queue_.push_back(index);
   if (probe_) {
     probe_.Counter(queue_counter_name_, now, static_cast<double>(QueueDepth()));
   }
@@ -138,39 +187,23 @@ void DiskModel::StartNext() {
   if (queue_.empty() || failed_) {
     return;
   }
-  if (inflight_free_.empty()) {
-    inflight_slots_.push_back(std::make_unique<InFlight>());
-    inflight_free_.push_back(static_cast<int32_t>(inflight_slots_.size()) - 1);
-  }
-  const int32_t slot = inflight_free_.back();
-  inflight_free_.pop_back();
-  InFlight& f = *inflight_slots_[slot];
-  f.p = std::move(queue_.front());
+  const int32_t index = queue_.front();
   queue_.pop_front();
+  OpSlot& s = Slot(index);
   busy_ = true;
-  busy_time_.Set(sim_->Now(), 1.0);
+  const SimTime now = sim_->Now();
+  busy_time_.Set(now, 1.0);
 
-  f.service_start = sim_->Now();
+  s.service_start = now;
+  s.generation = generation_;
   int32_t end_cylinder = current_cylinder_;
-  f.bd = ComputeService(f.service_start, f.p.op, current_cylinder_, &end_cylinder);
+  s.bd = ComputeService(now, s.op, current_cylinder_, &end_cylinder);
   current_cylinder_ = end_cylinder;
-  sim_->After(f.bd.Total(), [this, slot] { CompleteSlot(slot); });
+  sim_->After(s.bd.Total(), [this, index] { CompleteSlot(index); });
 }
 
-void DiskModel::CompleteSlot(int32_t slot) {
-  InFlight& f = *inflight_slots_[slot];
-  Pending p = std::move(f.p);
-  const ServiceBreakdown bd = f.bd;
-  const SimTime service_start = f.service_start;
-  // The slot is free for reuse before the completion callback runs -- the
-  // callback may re-enter Submit and start the next operation.
-  f.p = Pending{};
-  inflight_free_.push_back(slot);
-  CompleteCurrent(p, bd, service_start);
-}
-
-void DiskModel::CompleteCurrent(Pending& p, const ServiceBreakdown& breakdown,
-                                SimTime service_start) {
+void DiskModel::CompleteSlot(int32_t index) {
+  OpSlot& s = Slot(index);
   const SimTime now = sim_->Now();
   busy_ = false;
   busy_time_.Set(now, 0.0);
@@ -179,23 +212,41 @@ void DiskModel::CompleteCurrent(Pending& p, const ServiceBreakdown& breakdown,
   }
 
   DiskOpResult result;
-  result.submitted = p.submitted;
-  result.service_start = service_start;
+  result.submitted = s.submitted;
+  result.service_start = s.service_start;
   result.finish = now;
-  if (failed_) {
-    // The mechanism died mid-flight; report failure, do not count the op.
+  if (failed_ || s.generation != generation_) {
+    // The mechanism died mid-flight (and may since have been replaced);
+    // report failure, do not count the op.
     result.ok = false;
   } else {
     result.ok = true;
-    result.breakdown = breakdown;
+    result.breakdown = s.bd;
     ++ops_completed_;
-    sectors_transferred_ += p.op.sectors;
-    service_times_.Add(ToMilliseconds(now - service_start));
+    sectors_transferred_ += s.op.sectors;
+    service_times_.Add(ToMilliseconds(now - s.service_start));
   }
-  p.done(result);
+  // The callback runs in place. It may re-enter Submit and start the next
+  // operation; StartNext still runs afterwards (see ROADMAP), and the slot is
+  // freed only once both are done.
+  s.done(result);
   if (!failed_) {
     StartNext();
   }
+  s.done.Reset();
+  free_slots_.push_back(index);
+}
+
+void DiskModel::FailSlot(int32_t index) {
+  OpSlot& s = Slot(index);
+  DiskOpResult result;
+  result.ok = false;
+  result.submitted = s.submitted;
+  result.service_start = s.service_start;
+  result.finish = s.service_start;
+  s.done(result);
+  s.done.Reset();
+  free_slots_.push_back(index);
 }
 
 void DiskModel::Fail() {
@@ -207,20 +258,18 @@ void DiskModel::Fail() {
   // will observe failed_ when its completion event fires.
   const SimTime now = sim_->Now();
   while (!queue_.empty()) {
-    Pending p = std::move(queue_.front());
+    const int32_t index = queue_.front();
     queue_.pop_front();
-    DiskOpResult result;
-    result.ok = false;
-    result.submitted = p.submitted;
-    result.service_start = now;
-    result.finish = now;
-    sim_->After(0, [done = std::move(p.done), result]() mutable { done(result); });
+    Slot(index).service_start = now;
+    sim_->After(0, [this, index] { FailSlot(index); });
   }
 }
 
 void DiskModel::Replace() {
   assert(queue_.empty());
-  assert(!busy_);
+  // A new mechanism: an op still in flight on the old one completes with
+  // ok=false (CompleteSlot compares generations).
+  ++generation_;
   failed_ = false;
   current_cylinder_ = 0;
 }

@@ -28,6 +28,7 @@
 #include "disk/geometry.h"
 #include "disk/seek_model.h"
 #include "obs/probe.h"
+#include "sim/fast_div.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "stats/streaming.h"
@@ -84,6 +85,8 @@ class DiskModel {
 
   // Installs a fresh (replacement) mechanism: clears the failure, resets the
   // arm to cylinder 0. Queue must be empty (callers drain by failing first).
+  // An op still in flight belonged to the failed mechanism: it completes with
+  // ok=false at its scheduled time and is not counted.
   void Replace();
 
   bool failed() const { return failed_; }
@@ -113,29 +116,45 @@ class DiskModel {
   const StreamingStats& ServiceTimes() const { return service_times_; }
 
  private:
-  struct Pending {
+  // One submitted op, stored once from Submit until its callback has run.
+  // Slots live in fixed-size chunks, so a slot never moves while its callback
+  // runs (even if that callback re-enters Submit and the pool grows); only
+  // the slot index travels through the FCFS queue and the completion event.
+  struct OpSlot {
     DiskOp op;
-    DiskOpCallback done;
     SimTime submitted = 0;
-  };
-  // In-flight operation context, pooled so the completion event captures only
-  // [this, slot] and the hot path never heap-allocates. A slot per op (not a
-  // single member) deliberately preserves the existing completion semantics:
-  // CompleteCurrent runs the callback after releasing the mechanism, so a
-  // re-entrant Submit can overlap with StartNext (see ROADMAP).
-  struct InFlight {
-    Pending p;
+    SimTime service_start = 0;  // Failure time for ops failed before service.
     ServiceBreakdown bd;
-    SimTime service_start = 0;
+    uint64_t generation = 0;    // Mechanism the op started on (see Replace).
+    DiskOpCallback done;
+  };
+  static constexpr int32_t kSlotChunk = 8;
+
+  // Rotation and media constants of one recording zone, fixed at
+  // construction. Each table entry is the per-track formula it replaces,
+  // evaluated once, so the tabulated model is bit-identical to it.
+  struct ZoneTiming {
+    int64_t skew = 0;              // Track skew, in sectors (TrackSkew).
+    int32_t skew_step = 0;         // skew % sectors_per_track.
+    int32_t sectors_per_track = 0;
+    FastDiv64 track_div;           // By sectors_per_track.
+    const double* slot_frac = nullptr;     // [s] = s / sectors_per_track.
+    const SimDuration* media = nullptr;    // [n] = media time of n sectors.
   };
 
+  OpSlot& Slot(int32_t index) {
+    return slot_chunks_[static_cast<size_t>(index / kSlotChunk)][index % kSlotChunk];
+  }
+  int32_t AcquireSlot();
   void StartNext();
-  void CompleteSlot(int32_t slot);
-  void CompleteCurrent(Pending& p, const ServiceBreakdown& breakdown,
-                       SimTime service_start);
-  // Time from `now` until the start of sector `sector` (with skew applied) of
-  // the track described by `chs` passes under the head.
-  SimDuration RotationalWait(SimTime now, const Chs& chs) const;
+  // Completion event of a started op.
+  void CompleteSlot(int32_t index);
+  // Completion event of an op failed before service (queued at Fail(), or
+  // submitted to a failed disk).
+  void FailSlot(int32_t index);
+  // Time from `now` until rotational slot `slot` of a track in `zone` passes
+  // under the head.
+  SimDuration RotationalWait(SimTime now, const ZoneTiming& zone, int32_t slot) const;
   // Skew, in sectors, applied per global track index in the given zone.
   int32_t TrackSkew(int32_t sectors_per_track) const;
 
@@ -147,9 +166,17 @@ class DiskModel {
   Probe probe_;
   std::string queue_counter_name_;  // Built once; empty when probe_ is null.
 
-  RingQueue<Pending> queue_;
-  std::vector<std::unique_ptr<InFlight>> inflight_slots_;
-  std::vector<int32_t> inflight_free_;
+  SimDuration rev_;       // Revolution time.
+  double rev_d_;          // rev_ as a double.
+  FastDiv64 rev_div_;     // By rev_: angular phase of the platters.
+  std::vector<ZoneTiming> zones_;
+  std::vector<double> slot_frac_;   // Backing store of every zone's tables.
+  std::vector<SimDuration> media_;
+
+  RingQueue<int32_t> queue_;  // Slot indices, FCFS.
+  std::vector<std::unique_ptr<OpSlot[]>> slot_chunks_;
+  std::vector<int32_t> free_slots_;
+  uint64_t generation_ = 0;  // Bumped by Replace().
   bool busy_ = false;
   bool failed_ = false;
   int32_t current_cylinder_ = 0;

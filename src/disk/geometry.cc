@@ -13,35 +13,14 @@ DiskGeometry::DiskGeometry(std::vector<DiskZone> zones, int32_t heads, int32_t s
     assert(z.cylinders > 0 && z.sectors_per_track > 0);
     zone_first_sector_.push_back(total_sectors_);
     zone_first_cylinder_.push_back(total_cylinders_);
+    zone_div_.push_back(
+        {FastDiv64(static_cast<int64_t>(heads_) * z.sectors_per_track),
+         FastDiv64(z.sectors_per_track)});
     total_sectors_ +=
         static_cast<int64_t>(z.cylinders) * heads_ * z.sectors_per_track;
     total_cylinders_ += z.cylinders;
   }
-}
-
-Chs DiskGeometry::ToChs(int64_t lba) const {
-  assert(lba >= 0 && lba < total_sectors_);
-  // Find the zone (few zones, so linear scan is fine and branch-predictable).
-  size_t zi = zones_.size() - 1;
-  for (size_t i = 0; i + 1 < zones_.size(); ++i) {
-    if (lba < zone_first_sector_[i + 1]) {
-      zi = i;
-      break;
-    }
-  }
-  const DiskZone& z = zones_[zi];
-  const int64_t in_zone = lba - zone_first_sector_[zi];
-  const int64_t sectors_per_cyl = static_cast<int64_t>(heads_) * z.sectors_per_track;
-  Chs chs;
-  chs.zone = static_cast<int32_t>(zi);
-  const int64_t cyl_in_zone = in_zone / sectors_per_cyl;
-  chs.cylinder = zone_first_cylinder_[zi] + static_cast<int32_t>(cyl_in_zone);
-  const int64_t in_cyl = in_zone - cyl_in_zone * sectors_per_cyl;
-  chs.head = static_cast<int32_t>(in_cyl / z.sectors_per_track);
-  chs.sector = static_cast<int32_t>(in_cyl % z.sectors_per_track);
-  chs.track_index = static_cast<int64_t>(chs.cylinder) * heads_ + chs.head;
-  chs.sectors_per_track = z.sectors_per_track;
-  return chs;
+  zone_first_cylinder_.push_back(total_cylinders_);
 }
 
 int64_t DiskGeometry::ToLba(const Chs& chs) const {

@@ -10,8 +10,11 @@
 #define AFRAID_DISK_GEOMETRY_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "sim/fast_div.h"
 
 namespace afraid {
 
@@ -42,14 +45,32 @@ class DiskGeometry {
   const std::vector<DiskZone>& Zones() const { return zones_; }
 
   // Maps a logical block address (sector number) to physical coordinates.
-  // Precondition: 0 <= lba < TotalSectors().
+  // Precondition: 0 <= lba < TotalSectors(). Inline (below the class): the
+  // disk model calls it once per op.
   Chs ToChs(int64_t lba) const;
 
   // Inverse of ToChs (used by tests to prove the mapping is a bijection).
   int64_t ToLba(const Chs& chs) const;
 
-  // Sectors per track in the zone that holds `lba`.
-  int32_t SectorsPerTrackAt(int64_t lba) const { return ToChs(lba).sectors_per_track; }
+  // Steps `chs` to sector 0 of the next track in LBA order: the next head,
+  // else the next cylinder, else the first cylinder of the next zone. The
+  // result equals ToChs() of that track's first sector, without the
+  // divisions. Precondition: `chs` is not on the last track.
+  void NextTrack(Chs* chs) const {
+    chs->sector = 0;
+    ++chs->track_index;
+    if (++chs->head < heads_) {
+      return;
+    }
+    chs->head = 0;
+    ++chs->cylinder;
+    const auto next_zone = static_cast<size_t>(chs->zone) + 1;
+    if (chs->cylinder == zone_first_cylinder_[next_zone]) {
+      assert(next_zone < zones_.size());
+      chs->zone = static_cast<int32_t>(next_zone);
+      chs->sectors_per_track = zones_[next_zone].sectors_per_track;
+    }
+  }
 
  private:
   std::vector<DiskZone> zones_;
@@ -59,8 +80,42 @@ class DiskGeometry {
   int64_t total_sectors_ = 0;
   // Precomputed per-zone cumulative values for O(#zones) lookup.
   std::vector<int64_t> zone_first_sector_;
+  // One entry per zone plus a sentinel (TotalCylinders()), so entry z+1 is
+  // always the end of zone z.
   std::vector<int32_t> zone_first_cylinder_;
+  // Per-zone divisors for ToChs.
+  struct ZoneDiv {
+    FastDiv64 per_cylinder;  // By heads * sectors_per_track.
+    FastDiv64 per_track;     // By sectors_per_track.
+  };
+  std::vector<ZoneDiv> zone_div_;
 };
+
+inline Chs DiskGeometry::ToChs(int64_t lba) const {
+  assert(lba >= 0 && lba < total_sectors_);
+  // Find the zone (few zones, so linear scan is fine and branch-predictable).
+  size_t zi = zones_.size() - 1;
+  for (size_t i = 0; i + 1 < zones_.size(); ++i) {
+    if (lba < zone_first_sector_[i + 1]) {
+      zi = i;
+      break;
+    }
+  }
+  const DiskZone& z = zones_[zi];
+  const int64_t in_zone = lba - zone_first_sector_[zi];
+  Chs chs;
+  chs.zone = static_cast<int32_t>(zi);
+  const ZoneDiv& div = zone_div_[zi];
+  const int64_t cyl_in_zone = div.per_cylinder.Div(in_zone);
+  chs.cylinder = zone_first_cylinder_[zi] + static_cast<int32_t>(cyl_in_zone);
+  const int64_t in_cyl = in_zone - cyl_in_zone * div.per_cylinder.divisor();
+  const int64_t head = div.per_track.Div(in_cyl);
+  chs.head = static_cast<int32_t>(head);
+  chs.sector = static_cast<int32_t>(in_cyl - head * z.sectors_per_track);
+  chs.track_index = static_cast<int64_t>(chs.cylinder) * heads_ + chs.head;
+  chs.sectors_per_track = z.sectors_per_track;
+  return chs;
+}
 
 }  // namespace afraid
 

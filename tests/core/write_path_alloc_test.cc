@@ -1,6 +1,6 @@
 // Proves the steady-state client request path is allocation-free: after a
 // warm-up that fills every pool (join blocks, scratch vectors, queue nodes,
-// event slabs, disk in-flight slots, reserved latency samples), a further
+// event slabs, disk op slots, reserved latency samples), a further
 // burst of reads and writes must perform zero heap allocations.
 //
 // The global operator new/delete overrides below count every allocation in
@@ -18,6 +18,7 @@
 #include "array/host_driver.h"
 #include "core/afraid_controller.h"
 #include "core/experiment.h"
+#include "disk/disk_model.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -121,6 +122,59 @@ TEST(WritePathAllocTest, SteadyStateRequestPathIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0u)
       << "steady-state request path performed " << (after - before)
+      << " heap allocations";
+}
+
+// One disk-level phase: bursts of submits whose completions re-enter Submit
+// (the controllers' read-modify-write chains do), plus a failure and a
+// replacement so the failed-op paths run too.
+void RunDiskPhase(Simulator* sim, DiskModel* disk, uint64_t salt) {
+  int64_t sink = 0;
+  const int64_t blocks = (disk->TotalSectors() - 96) / 16;  // Room for 96.
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t h =
+        (salt * 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(i) * 7919u);
+    const int64_t lba = static_cast<int64_t>(h % static_cast<uint64_t>(blocks)) * 16;
+    const int32_t sectors = (i % 5 == 0) ? 96 : 16;
+    disk->Submit(DiskOp{lba, sectors, (i % 3) == 0},
+                 [disk, &sink, lba, sectors](const DiskOpResult& r) {
+                   sink += r.finish;
+                   if (r.ok && sectors == 96) {
+                     disk->Submit(DiskOp{lba, 16, true},
+                                  [&sink](const DiskOpResult& w) { sink += w.finish; });
+                   }
+                 });
+    if (i % 32 == 31) {
+      sim->RunUntil(sim->Now() + Milliseconds(60));
+    }
+    if (i == 200) {
+      disk->Fail();
+      disk->Submit(DiskOp{0, 8, false},
+                   [&sink](const DiskOpResult& r) { sink += r.ok ? 1 : 2; });
+      sim->RunToEnd();
+      disk->Replace();
+    }
+  }
+  sim->RunToEnd();
+  ASSERT_TRUE(disk->Idle());
+  ASSERT_GT(sink, 0);
+}
+
+// The disk's submit/complete cycle on its own: ops live in pooled slots, so
+// once the pool and the event slabs reach the workload's high-water mark no
+// further heap allocation happens.
+TEST(WritePathAllocTest, DiskSubmitCompleteIsAllocationFree) {
+  Simulator sim;
+  DiskModel disk(&sim, DiskSpec::TinyTestDisk(), 0);
+  RunDiskPhase(&sim, &disk, 1);
+  RunDiskPhase(&sim, &disk, 2);
+
+  const uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  RunDiskPhase(&sim, &disk, 3);
+  const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "disk submit/complete performed " << (after - before)
       << " heap allocations";
 }
 

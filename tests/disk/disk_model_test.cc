@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "disk/geometry.h"
@@ -203,6 +205,36 @@ TEST_F(DiskModelTest, ReplaceRestoresService) {
   EXPECT_TRUE(r.ok);
 }
 
+// An op in flight when the disk fails belongs to the dead mechanism. A
+// replacement installed before that op's completion event fires must not
+// turn it into a success (in Release builds too, where asserts are gone).
+TEST_F(DiskModelTest, ReplaceBeforeInFlightCompletionStillFailsTheOp) {
+  DiskOpResult first;
+  bool first_done = false;
+  disk_.Submit(DiskOp{0, 64, false}, [&](const DiskOpResult& r) {
+    first = r;
+    first_done = true;
+  });
+  sim_.After(MicrosecondsF(100), [&] {
+    disk_.Fail();
+    disk_.Replace();
+  });
+  sim_.RunUntil(MicrosecondsF(100));
+  ASSERT_FALSE(first_done);  // Still in flight at the failure.
+  sim_.RunToEnd();
+  ASSERT_TRUE(first_done);
+  EXPECT_FALSE(first.ok);
+  EXPECT_EQ(first.breakdown.Total(), 0);
+  EXPECT_EQ(disk_.OpsCompleted(), 0u);
+  EXPECT_EQ(disk_.SectorsTransferred(), 0);
+  EXPECT_FALSE(disk_.failed());
+
+  // The replacement serves new work normally.
+  const DiskOpResult r = RunOne(0, 8, false);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(disk_.OpsCompleted(), 1u);
+}
+
 TEST_F(DiskModelTest, ComputeServiceIsPure) {
   DiskOp op{123456, 16, false};
   int32_t end1 = 0;
@@ -222,6 +254,92 @@ TEST_F(DiskModelTest, SpinSynchronizedDisksShareAngularPosition) {
   const auto a = disk_.ComputeService(Seconds(1), op, 10, &end);
   const auto b = other.ComputeService(Seconds(1), op, 10, &end);
   EXPECT_EQ(a.rotation, b.rotation);
+}
+
+// Each submitted op lives in one pooled slot until its callback has run.
+// A move-only capture must be destroyed exactly once, promptly, on every
+// path out of the pool.
+class CaptureToken {
+ public:
+  explicit CaptureToken(int* destroyed) : destroyed_(destroyed) {}
+  ~CaptureToken() { ++*destroyed_; }
+  CaptureToken(const CaptureToken&) = delete;
+  CaptureToken& operator=(const CaptureToken&) = delete;
+
+ private:
+  int* destroyed_;
+};
+
+TEST(DiskModelPool, CaptureDestroyedOnceOnCompletion) {
+  int destroyed = 0;
+  int calls = 0;
+  Simulator sim;
+  DiskModel disk(&sim, DiskSpec::TinyTestDisk(), 0);
+  for (int i = 0; i < 20; ++i) {
+    disk.Submit(DiskOp{i * 64, 8, i % 2 == 0},
+                [token = std::make_unique<CaptureToken>(&destroyed), &calls,
+                 &destroyed](const DiskOpResult& r) {
+                  EXPECT_TRUE(r.ok);
+                  EXPECT_EQ(destroyed, calls);  // Earlier captures are gone.
+                  ++calls;
+                });
+  }
+  EXPECT_EQ(destroyed, 0);
+  sim.RunToEnd();
+  EXPECT_EQ(calls, 20);
+  EXPECT_EQ(destroyed, 20);
+  EXPECT_EQ(disk.OpsCompleted(), 20u);
+}
+
+TEST(DiskModelPool, CaptureDestroyedOnceOnFailOfQueuedOps) {
+  int destroyed = 0;
+  int failed = 0;
+  Simulator sim;
+  DiskModel disk(&sim, DiskSpec::TinyTestDisk(), 0);
+  for (int i = 0; i < 6; ++i) {
+    disk.Submit(DiskOp{i * 64, 8, false},
+                [token = std::make_unique<CaptureToken>(&destroyed),
+                 &failed](const DiskOpResult& r) { failed += r.ok ? 0 : 1; });
+  }
+  disk.Fail();  // One op in flight, five queued.
+  sim.RunUntil(0);
+  EXPECT_EQ(failed, 5);
+  EXPECT_EQ(destroyed, 5);
+  // Submitted to the failed disk: fails through the same pool.
+  disk.Submit(DiskOp{0, 8, false},
+              [token = std::make_unique<CaptureToken>(&destroyed),
+               &failed](const DiskOpResult& r) { failed += r.ok ? 0 : 1; });
+  sim.RunToEnd();
+  EXPECT_EQ(failed, 7);
+  EXPECT_EQ(destroyed, 7);
+  EXPECT_EQ(disk.OpsCompleted(), 0u);
+}
+
+TEST(DiskModelPool, CaptureDestroyedOnceOnReentrantSubmit) {
+  int destroyed = 0;
+  int calls = 0;
+  Simulator sim;
+  DiskModel disk(&sim, DiskSpec::TinyTestDisk(), 0);
+  // Each completion submits the next op of its chain from inside its
+  // callback, while its own slot is still held. Two chains keep the queue
+  // non-empty, so the pool grows mid-callback.
+  std::function<void(int, int)> submit = [&](int chain, int depth) {
+    disk.Submit(DiskOp{chain * 2048 + depth * 16, 16, depth % 2 == 1},
+                [token = std::make_unique<CaptureToken>(&destroyed), &calls,
+                 &submit, chain, depth](const DiskOpResult& r) {
+                  EXPECT_TRUE(r.ok);
+                  ++calls;
+                  if (depth < 40) {
+                    submit(chain, depth + 1);
+                  }
+                });
+  };
+  submit(0, 0);
+  submit(1, 0);
+  sim.RunToEnd();
+  EXPECT_EQ(calls, 82);
+  EXPECT_EQ(destroyed, 82);
+  EXPECT_TRUE(disk.Idle());
 }
 
 TEST(DiskModelProperty, ServiceTimesWithinPhysicalBounds) {
