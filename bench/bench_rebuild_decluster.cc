@@ -90,7 +90,7 @@ struct RebuildResult {
   double p99_during_ms = 0.0;      // Client tail inside the window.
   double mean_during_ms = 0.0;
   uint64_t completed_during = 0;   // Client requests finished in the window.
-  uint64_t stripes_rebuilt = 0;
+  uint64_t stripes_reconstructed = 0;  // Stripes the sweep restored.
 };
 
 // One live run: replay `trace` open-loop, fail disk 0 at `fail_at`, replace
@@ -145,7 +145,7 @@ RebuildResult RunRebuild(const ArrayConfig& cfg, const Trace& trace,
   res.completed_during = during_ms.Count();
   res.p99_during_ms = during_ms.Percentile(0.99);
   res.mean_during_ms = during_ms.Mean();
-  res.stripes_rebuilt = ctl->Stats().stripes_rebuilt;
+  res.stripes_reconstructed = ctl->Stats().stripes_reconstructed;
   return res;
 }
 
@@ -191,7 +191,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
     w.Key("client_p99_during_ms").Value(row.r.p99_during_ms);
     w.Key("client_mean_during_ms").Value(row.r.mean_during_ms);
     w.Key("completed_during_rebuild").Value(row.r.completed_during);
-    w.Key("stripes_rebuilt").Value(row.r.stripes_rebuilt);
+    w.Key("stripes_reconstructed").Value(row.r.stripes_reconstructed);
     w.Key("mttdl_hours").Value(row.mttdl.point);
     w.Key("mttdl_hours_lo").Value(row.mttdl.lo);
     w.Key("mttdl_hours_hi").Value(row.mttdl.hi);

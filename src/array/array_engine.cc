@@ -1,0 +1,438 @@
+#include "array/array_engine.h"
+
+#include <cassert>
+#include <utility>
+
+#include "array/decluster.h"
+#include "disk/geometry.h"
+
+namespace afraid {
+
+const char* DiskOpPurposeName(DiskOpPurpose purpose) {
+  switch (purpose) {
+    case DiskOpPurpose::kClientRead:
+      return "client read";
+    case DiskOpPurpose::kClientWrite:
+      return "client write";
+    case DiskOpPurpose::kOldDataRead:
+      return "old-data read";
+    case DiskOpPurpose::kOldParityRead:
+      return "old-parity read";
+    case DiskOpPurpose::kParityWrite:
+      return "parity write";
+    case DiskOpPurpose::kReconstructRead:
+      return "reconstruct read";
+    case DiskOpPurpose::kRebuildRead:
+      return "rebuild read";
+    case DiskOpPurpose::kRebuildWrite:
+      return "rebuild write";
+    case DiskOpPurpose::kRecoveryRead:
+      return "recovery read";
+    case DiskOpPurpose::kRecoveryWrite:
+      return "recovery write";
+    case DiskOpPurpose::kNumPurposes:
+      break;
+  }
+  return "unknown";
+}
+
+const char* LossCauseName(LossCause cause) {
+  switch (cause) {
+    case LossCause::kStaleParityDegradedRead:
+      return "stale-parity degraded read";
+    case LossCause::kStaleParityReconstruction:
+      return "stale-parity reconstruction";
+  }
+  return "unknown";
+}
+
+int64_t ArrayEngine::DiskCapacityBytes(const ArrayConfig& config) {
+  return DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
+                      config.disk_spec.sector_bytes)
+      .CapacityBytes();
+}
+
+std::unique_ptr<ArrayLayout> ArrayEngine::MakeStripedLayout(const ArrayConfig& config,
+                                                            int32_t parity_blocks,
+                                                            int64_t reserved_bytes) {
+  return MakeLayout(config.layout, config.num_disks, config.stripe_unit_bytes,
+                    DiskCapacityBytes(config) - reserved_bytes, parity_blocks,
+                    config.decluster_width);
+}
+
+ArrayEngine::ArrayEngine(Simulator* sim, const ArrayConfig& config,
+                         std::unique_ptr<ArrayLayout> layout,
+                         int32_t content_parity_slots, Probe probe)
+    : sim_(sim), cfg_(config), layout_(std::move(layout)) {
+  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
+    const Probe disk_probe = probe.NewTrack("disk" + std::to_string(d));
+    disk_probes_.push_back(disk_probe);
+    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d, disk_probe));
+  }
+  ctrl_probe_ = probe.NewTrack("controller");
+  rebuild_probe_ = probe.NewTrack("rebuild");
+  if (cfg_.track_content) {
+    content_ = std::make_unique<ContentModel>(
+        layout_->data_blocks_per_stripe(), content_parity_slots,
+        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
+  }
+}
+
+uint64_t ArrayEngine::TotalDiskOps() const {
+  uint64_t total = 0;
+  for (uint64_t c : disk_ops_) {
+    total += c;
+  }
+  return total;
+}
+
+SchemeState ArrayEngine::State() const {
+  SchemeState st;
+  st.failed_disk = failed_disk_;
+  st.recovering_disk = recovering_disk_;
+  st.reconstruction_active = reconstruction_active_;
+  st.loss_events = loss_events_;
+  st.bytes_lost = bytes_lost_;
+  return st;
+}
+
+SchemeStats ArrayEngine::Stats() const {
+  SchemeStats s;
+  s.stripes_reconstructed = stripes_reconstructed_;
+  s.disk_ops_total = TotalDiskOps();
+  s.loss_events = loss_events_;
+  s.bytes_lost = bytes_lost_;
+  return s;
+}
+
+void ArrayEngine::RecordLoss(LossCause cause, int64_t stripe, int64_t bytes) {
+  assert(bytes > 0);
+  ++loss_events_;
+  bytes_lost_ += bytes;
+  if (ctrl_probe_) {
+    ctrl_probe_.Instant(std::string("data loss: ") + LossCauseName(cause), sim_->Now());
+  }
+  if (loss_listener_) {
+    LossEvent ev;
+    ev.time = sim_->Now();
+    ev.cause = cause;
+    ev.stripe = stripe;
+    ev.bytes = bytes;
+    loss_listener_(ev);
+  }
+}
+
+void ArrayEngine::IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length,
+                              bool is_write, DiskOpPurpose purpose, DiskDone done) {
+  assert(disk >= 0 && disk < cfg_.num_disks);
+  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  assert(byte_offset % sector == 0);
+  assert(length > 0 && length % sector == 0);
+  ++disk_ops_[static_cast<size_t>(purpose)];
+  DiskOp op;
+  op.lba = byte_offset / sector;
+  op.sectors = static_cast<int32_t>(length / sector);
+  op.is_write = is_write;
+  const Probe disk_probe = disk_probes_[static_cast<size_t>(disk)];
+  if (disk_probe) {
+    disks_[static_cast<size_t>(disk)]->Submit(
+        op,
+        [disk_probe, purpose, done = std::move(done)](const DiskOpResult& r) mutable {
+          if (r.ok) {
+            // Emitted at completion, so per-track spans are ordered by finish
+            // time (tests/obs asserts this invariant).
+            disk_probe.Complete(DiskOpPurposeName(purpose), r.service_start, r.finish);
+          }
+          done(r.ok);
+        });
+  } else {
+    disks_[static_cast<size_t>(disk)]->Submit(
+        op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
+  }
+}
+
+int32_t ArrayEngine::DataBlockOn(int64_t stripe, int32_t disk) const {
+  for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
+    if (layout_->DataDisk(stripe, j) == disk) {
+      return j;
+    }
+  }
+  return -1;
+}
+
+// --- Client requests -------------------------------------------------------------
+
+void ArrayEngine::Submit(const ClientRequest& r, RequestDone done) {
+  assert(r.size > 0);
+  assert(r.offset >= 0 && r.offset + r.size <= layout_->data_capacity_bytes());
+  OnClientStart();
+  // The client completion and OnClientEnd are folded into the request's join
+  // callback, so no intermediate wrapper is needed. Planned requests carry
+  // their precompiled Split() (array/plan.h).
+  if (!r.is_write) {
+    // Read continuations capture their Segment by value, so an unplanned
+    // split lives in scratch only for this synchronous loop.
+    Span<Segment> segs{r.plan_segs, r.plan_seg_count};
+    if (r.plan_segs == nullptr) {
+      layout_->SplitInto(r.offset, r.size, &split_scratch_);
+      segs = Span<Segment>{split_scratch_.data(),
+                           static_cast<int32_t>(split_scratch_.size())};
+    }
+    JoinBlock* join = joins_.Make(segs.count, [this, done = std::move(done)](bool) mutable {
+      done();
+      OnClientEnd();
+    });
+    for (const Segment& seg : segs) {
+      ReadSegment(seg, join);
+    }
+    return;
+  }
+  // Write groups are spans into the segments, so those must stay in place
+  // until the request's join fires: a planned request's live in the
+  // RequestPlan, an unplanned one's in a pooled vector owned by the join.
+  // Split emits nondecreasing stripe numbers, so grouping by stripe is a
+  // contiguous-run scan, dispatched in ascending stripe order.
+  std::vector<Segment>* pooled = nullptr;
+  const Segment* base = r.plan_segs;
+  auto count = static_cast<size_t>(r.plan_seg_count);
+  if (base == nullptr) {
+    pooled = seg_pool_.Acquire();
+    layout_->SplitInto(r.offset, r.size, pooled);
+    base = pooled->data();
+    count = pooled->size();
+  }
+  int32_t n_groups = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (i == 0 || base[i].stripe != base[i - 1].stripe) {
+      ++n_groups;
+    }
+  }
+  JoinBlock* join =
+      joins_.Make(n_groups, [this, done = std::move(done), pooled](bool) mutable {
+        if (pooled != nullptr) {
+          seg_pool_.Release(pooled);
+        }
+        done();
+        OnClientEnd();
+      });
+  size_t i = 0;
+  while (i < count) {
+    size_t j = i + 1;
+    while (j < count && base[j].stripe == base[i].stripe) {
+      ++j;
+    }
+    WriteStripeGroup(r.id, base[i].stripe,
+                     Span<Segment>{base + i, static_cast<int32_t>(j - i)}, join);
+    i = j;
+  }
+}
+
+void ArrayEngine::ReadSegment(const Segment& seg, JoinBlock* join) {
+  const BlockLoc dl = layout_->DataLocation(seg.stripe, seg.block_in_stripe);
+  if (DiskUnavailable(dl.disk, seg.stripe)) {
+    DegradedReadSegment(seg, join);
+    return;
+  }
+  IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
+              /*is_write=*/false, DiskOpPurpose::kClientRead,
+              [join](bool) { join->Dec(true); });
+}
+
+void ArrayEngine::WriteStripeGroup(uint64_t request_id, int64_t stripe,
+                                   Span<Segment> segs, JoinBlock* group_join) {
+  (void)stripe;
+  // Every segment completes the request join once, so widen it by the
+  // group's extra segments first (its own count keeps it from firing early).
+  group_join->remaining += segs.count - 1;
+  for (const Segment& seg : segs) {
+    WriteSegment(request_id, seg, group_join);
+  }
+}
+
+void ArrayEngine::WriteSegment(uint64_t request_id, const Segment& seg,
+                               JoinBlock* join) {
+  (void)request_id;
+  (void)seg;
+  (void)join;
+  assert(false && "schemes override WriteStripeGroup or WriteSegment");
+}
+
+int32_t ArrayEngine::DegradedReadParity(int64_t stripe, bool* lost) const {
+  (void)stripe;
+  *lost = false;
+  return 0;
+}
+
+void ArrayEngine::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
+  locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, seg, parent] {
+    const int64_t stripe = seg.stripe;
+    const BlockLoc target = layout_->DataLocation(stripe, seg.block_in_stripe);
+    if (!DiskUnavailable(target.disk, stripe)) {
+      IssueDiskOp(target.disk, target.byte_offset + seg.offset_in_block, seg.length,
+                  /*is_write=*/false, DiskOpPurpose::kClientRead,
+                  [this, stripe, parent](bool) {
+                    locks_.Release(stripe, LockMode::kExclusive);
+                    parent->Dec(true);
+                  });
+      return;
+    }
+    bool lost = false;
+    const int32_t which = DegradedReadParity(stripe, &lost);
+    const int32_t n = layout_->data_blocks_per_stripe();
+    JoinBlock* join = joins_.Make(n, [this, seg, lost, parent](bool) {  // n-1 data + parity.
+      if (lost) {
+        RecordLoss(LossCause::kStaleParityDegradedRead, seg.stripe, seg.length);
+      }
+      locks_.Release(seg.stripe, LockMode::kExclusive);
+      parent->Dec(true);
+    });
+    for (int32_t j = 0; j < n; ++j) {
+      if (j == seg.block_in_stripe) {
+        continue;
+      }
+      const BlockLoc dl = layout_->DataLocation(stripe, j);
+      IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
+                  /*is_write=*/false, DiskOpPurpose::kReconstructRead,
+                  [join](bool) { join->Dec(true); });
+    }
+    const BlockLoc pl = layout_->ParityLocation(stripe, which);
+    IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
+                /*is_write=*/false, DiskOpPurpose::kReconstructRead,
+                [join](bool) { join->Dec(true); });
+  });
+}
+
+// --- Failure, replacement and the reconstruction sweep --------------------------------
+
+bool ArrayEngine::FailDisk(int32_t disk) {
+  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
+      recovering_disk_ >= 0) {
+    return false;
+  }
+  failed_disk_ = disk;
+  disks_[static_cast<size_t>(disk)]->Fail();
+  if (ctrl_probe_) {
+    ctrl_probe_.Instant("fail disk" + std::to_string(disk), sim_->Now());
+  }
+  return true;
+}
+
+bool ArrayEngine::ReplaceDisk(int32_t disk) {
+  if (disk != failed_disk_ || disk < 0) {
+    return false;
+  }
+  disks_[static_cast<size_t>(disk)]->Replace();
+  failed_disk_ = -1;
+  recovering_disk_ = disk;
+  recovery_frontier_ = 0;
+  if (ctrl_probe_) {
+    ctrl_probe_.Instant("replace disk" + std::to_string(disk), sim_->Now());
+  }
+  if (content_ != nullptr) {
+    BlankReplacedDisk(disk);
+  }
+  return true;
+}
+
+void ArrayEngine::BlankReplacedDisk(int32_t disk) {
+  const int32_t spu = content_->sectors_per_unit();
+  for (int64_t s : content_->TouchedStripes()) {
+    for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
+      if (layout_->DataDisk(s, j) == disk) {
+        for (int32_t i = 0; i < spu; ++i) {
+          content_->SetData(s, j, i, 0);
+        }
+      }
+    }
+    for (int32_t w = 0; w < layout_->parity_blocks(); ++w) {
+      if (layout_->ParityDisk(s, w) == disk) {
+        for (int32_t i = 0; i < spu; ++i) {
+          content_->SetParity(s, i, 0, w);
+        }
+      }
+    }
+  }
+}
+
+bool ArrayEngine::StartReconstruction(std::function<void()> done) {
+  if (recovering_disk_ < 0 || reconstruction_active_) {
+    return false;
+  }
+  reconstruction_active_ = true;
+  reconstruction_done_ = std::move(done);
+  if (rebuild_probe_) {
+    rebuild_probe_.AsyncBegin("reconstruction", 1, sim_->Now());
+  }
+  ReconstructNextStripe(0);
+  return true;
+}
+
+void ArrayEngine::ReconstructNextStripe(int64_t stripe) {
+  // Declustered layouts place only some stripes on any given disk; stripes
+  // without a unit on the replaced disk need no work (and are not counted).
+  // Left-symmetric layouts never skip.
+  while (stripe < layout_->num_stripes() &&
+         !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
+    ++stripe;
+  }
+  if (stripe >= layout_->num_stripes()) {
+    reconstruction_active_ = false;
+    recovering_disk_ = -1;
+    recovery_frontier_ = 0;
+    if (rebuild_probe_) {
+      rebuild_probe_.AsyncEnd("reconstruction", 1, sim_->Now());
+    }
+    auto done = std::move(reconstruction_done_);
+    reconstruction_done_ = nullptr;
+    if (done) {
+      done();
+    }
+    OnReconstructionDone();
+    return;
+  }
+  const int32_t target = recovering_disk_;
+  locks_.Acquire(stripe, LockMode::kExclusive,
+                 [this, stripe, target] { ReconstructStripe(stripe, target); });
+}
+
+void ArrayEngine::StripeReconstructed(int64_t stripe) {
+  ++stripes_reconstructed_;
+  recovery_frontier_ = stripe + 1;
+  locks_.Release(stripe, LockMode::kExclusive);
+  ReconstructNextStripe(stripe + 1);
+}
+
+void ArrayEngine::RebuildUnitFromPeers(int64_t stripe, int32_t target,
+                                       int32_t j_target, DiskDone written) {
+  const int32_t n = layout_->data_blocks_per_stripe();
+  const int64_t unit = layout_->stripe_unit();
+  const int64_t target_off = j_target >= 0
+                                 ? layout_->DataLocation(stripe, j_target).byte_offset
+                                 : layout_->ParityLocation(stripe).byte_offset;
+  // n reads either way: n-1 survivors + P for a data target, all n data
+  // blocks for a parity target.
+  JoinBlock* join = joins_.Make(
+      n, [this, target, target_off, unit, written = std::move(written)](bool ok) mutable {
+        if (!ok) {
+          written(false);
+          return;
+        }
+        IssueDiskOp(target, target_off, unit, /*is_write=*/true,
+                    DiskOpPurpose::kRecoveryWrite, std::move(written));
+      });
+  for (int32_t j = 0; j < n; ++j) {
+    if (j == j_target) {
+      continue;
+    }
+    const BlockLoc dl = layout_->DataLocation(stripe, j);
+    IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
+                DiskOpPurpose::kRecoveryRead, [join](bool ok) { join->Dec(ok); });
+  }
+  if (j_target >= 0) {
+    const BlockLoc pl = layout_->ParityLocation(stripe);
+    IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
+                DiskOpPurpose::kRecoveryRead, [join](bool ok) { join->Dec(ok); });
+  }
+}
+
+}  // namespace afraid

@@ -1,0 +1,208 @@
+// The array engine: the machinery every redundancy scheme shares.
+//
+// AFRAID is RAID 5 with the parity write deferred, so it needs exactly the
+// request splitting, stripe locks, degraded reads and replacement sweep that
+// RAID 5/6, parity logging and mirroring need; the schemes differ only in
+// how redundancy is computed and when it is written. ArrayEngine owns the
+// common part once:
+//
+//   * the disks (one "disk<N>" trace track each, plus "controller" and
+//     "rebuild" tracks), the layout, the content model, the stripe locks and
+//     the request-path pools;
+//   * IssueDiskOp: per-purpose op counters and purpose-labelled disk spans;
+//   * Submit: plan-or-split, the request join, and the per-stripe grouping
+//     of write segments;
+//   * the FailDisk / ReplaceDisk state machine and the reconstruction sweep
+//     (skip stripes off the replaced disk, lock, advance the frontier, fire
+//     the done callback);
+//   * loss accounting (counters, listener, controller-track instant) and the
+//     common State/Stats fields.
+//
+// A controller derives from the engine and supplies only its redundancy
+// logic through a few hooks, each fired at most once per request, segment or
+// stripe -- never per disk op: client start/end, read a segment, write a
+// stripe group (or a segment), reconstruct one locked stripe. DESIGN.md §17
+// explains why degraded reads and write paths stay per scheme.
+
+#ifndef AFRAID_ARRAY_ARRAY_ENGINE_H_
+#define AFRAID_ARRAY_ARRAY_ENGINE_H_
+
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "array/content.h"
+#include "array/layout.h"
+#include "array/scheme.h"
+#include "array/stripe_lock.h"
+#include "core/array_config.h"
+#include "disk/disk_model.h"
+#include "obs/probe.h"
+#include "sim/arena.h"
+#include "sim/simulator.h"
+
+namespace afraid {
+
+// What each disk I/O was for (statistics; also drives Figure 1's I/O counts
+// and names the per-disk trace spans).
+enum class DiskOpPurpose : int32_t {
+  kClientRead = 0,
+  kClientWrite,
+  kOldDataRead,      // Read-modify-write pre-read.
+  kOldParityRead,    // Read-modify-write pre-read.
+  kParityWrite,      // Parity (or parity-log) write in the client's path.
+  kReconstructRead,  // Reconstruct-write / degraded-mode companion reads.
+  kRebuildRead,      // Background redundancy refresh (or log replay).
+  kRebuildWrite,
+  kRecoveryRead,     // Failed-disk reconstruction sweep.
+  kRecoveryWrite,
+  kNumPurposes,
+};
+
+// Human-readable purpose label (trace span names, reports).
+const char* DiskOpPurposeName(DiskOpPurpose purpose);
+
+class ArrayEngine : public ArrayScheme {
+ public:
+  // Disk and lock callbacks capture `this`.
+  ArrayEngine(const ArrayEngine&) = delete;
+  ArrayEngine& operator=(const ArrayEngine&) = delete;
+
+  // --- ArrayController / ArrayScheme ------------------------------------------
+  void Submit(const ClientRequest& request, RequestDone done) final;
+  int64_t DataCapacityBytes() const final { return layout_->data_capacity_bytes(); }
+  const ArrayLayout& layout() const final { return *layout_; }
+  int32_t num_disks() const final { return cfg_.num_disks; }
+  DiskModel& disk(int32_t d) final { return *disks_[static_cast<size_t>(d)]; }
+  const ContentModel* content() const final { return content_.get(); }
+  bool FailDisk(int32_t disk) final;
+  bool ReplaceDisk(int32_t disk) final;
+  bool StartReconstruction(std::function<void()> done) final;
+  // The common fields; schemes add their redundancy state on top.
+  SchemeState State() const override;
+  SchemeStats Stats() const override;
+  void SetLossListener(LossListener listener) final {
+    loss_listener_ = std::move(listener);
+  }
+
+  // --- Introspection -----------------------------------------------------------
+  int32_t recovering_disk() const { return recovering_disk_; }
+  uint64_t DiskOps(DiskOpPurpose p) const {
+    return disk_ops_[static_cast<size_t>(p)];
+  }
+  uint64_t TotalDiskOps() const;
+  uint64_t LossEvents() const { return loss_events_; }
+  int64_t BytesLost() const { return bytes_lost_; }
+
+  // Striped layout of `config` over each disk's capacity less
+  // `reserved_bytes` at the end of the disk (scheme-private regions).
+  static std::unique_ptr<ArrayLayout> MakeStripedLayout(const ArrayConfig& config,
+                                                        int32_t parity_blocks,
+                                                        int64_t reserved_bytes = 0);
+  static int64_t DiskCapacityBytes(const ArrayConfig& config);
+
+ protected:
+  // `content_parity_slots`: redundancy slots per stripe in the content model
+  // (the layout's parity blocks; one twin copy per column for mirroring).
+  ArrayEngine(Simulator* sim, const ArrayConfig& config,
+              std::unique_ptr<ArrayLayout> layout, int32_t content_parity_slots,
+              Probe probe);
+
+  // --- Hooks ---------------------------------------------------------------------
+  // Once per request, before any segment is dispatched / after `done` ran.
+  virtual void OnClientStart() {}
+  virtual void OnClientEnd() {}
+  // Once per read segment; runs `join->Dec(true)` when the data is in. The
+  // default reads the data block, or reconstructs it (DegradedReadSegment)
+  // when its disk cannot serve the stripe.
+  virtual void ReadSegment(const Segment& seg, JoinBlock* join);
+  // Once per stripe a write touches, in ascending stripe order; `segs` stays
+  // valid until `group_join` fires, which the scheme runs exactly once. The
+  // default fans the group out to WriteSegment.
+  virtual void WriteStripeGroup(uint64_t request_id, int64_t stripe,
+                                Span<Segment> segs, JoinBlock* group_join);
+  // Once per segment, for schemes that keep the default WriteStripeGroup;
+  // runs `join->Dec(true)` once. `seg` must be copied if retained.
+  virtual void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join);
+  // Which parity (0 = P, 1 = Q) a degraded read reconstructs through, decided
+  // once the stripe lock is held; sets *lost when no live redundancy vouches
+  // for the result. The default: P, always live.
+  virtual int32_t DegradedReadParity(int64_t stripe, bool* lost) const;
+  // Once per swept stripe, with its lock held exclusively: restore the
+  // replaced disk's unit of `stripe`, then call StripeReconstructed(stripe).
+  virtual void ReconstructStripe(int64_t stripe, int32_t target) = 0;
+  // After the sweep's done callback ran (deferred work may resume).
+  virtual void OnReconstructionDone() {}
+  // Zeroes the replaced disk's units in the content model (it is blank).
+  virtual void BlankReplacedDisk(int32_t disk);
+
+  // --- Shared machinery ------------------------------------------------------------
+  void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
+                   DiskOpPurpose purpose, DiskDone done);
+  // Counts a data-loss incident and notifies the listener.
+  void RecordLoss(LossCause cause, int64_t stripe, int64_t bytes);
+  // True when `disk` cannot serve valid data for `stripe` right now.
+  bool DiskUnavailable(int32_t disk, int64_t stripe) const {
+    return disk == failed_disk_ ||
+           (disk == recovering_disk_ && stripe >= recovery_frontier_);
+  }
+  // Index of the data block `disk` holds in `stripe`; -1 if it holds none.
+  int32_t DataBlockOn(int64_t stripe, int32_t disk) const;
+  // Reconstructs a read segment whose disk is out from the surviving blocks
+  // and a live parity, under the stripe lock. If the sweep passed the stripe
+  // while the lock was pending, a plain read. Runs `parent->Dec(true)`.
+  void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
+  // Single-parity sweep step: reads the surviving units the target's xor
+  // needs (the other data blocks, plus P when `j_target` >= 0), writes the
+  // target unit, then runs `written(ok)`. Failed reads skip the write.
+  void RebuildUnitFromPeers(int64_t stripe, int32_t target, int32_t j_target,
+                            DiskDone written);
+  // Ends a ReconstructStripe step: counts it, advances the frontier,
+  // releases the stripe and moves on to the next one.
+  void StripeReconstructed(int64_t stripe);
+
+  Simulator* sim_;
+  ArrayConfig cfg_;
+  std::unique_ptr<ArrayLayout> layout_;
+  std::vector<std::unique_ptr<DiskModel>> disks_;
+  std::unique_ptr<ContentModel> content_;
+  StripeLockTable locks_;
+
+  // Tracing handles (all null when observability is off).
+  Probe ctrl_probe_;
+  Probe rebuild_probe_;
+  std::vector<Probe> disk_probes_;  // One per disk, same track as its DiskModel.
+
+  // Request-path arena (see DESIGN.md, "Arena reuse contract"): pooled
+  // joins, pooled per-request write segments (alive until the request's join
+  // fires), pooled parity/delta buffers, and synchronous-only scratch.
+  JoinPool joins_;
+  VecPool<Segment> seg_pool_;
+  VecPool<uint64_t> u64_pool_;
+  std::vector<Segment> split_scratch_;    // Read splits (synchronous).
+  std::vector<uint64_t> parity_scratch_;  // Batched parity recompute.
+
+  // Failure state machine: at most one failed or recovering disk. Stripes
+  // below the frontier hold valid data on the recovering disk.
+  int32_t failed_disk_ = -1;
+  int32_t recovering_disk_ = -1;
+  int64_t recovery_frontier_ = 0;
+  bool reconstruction_active_ = false;
+  uint64_t stripes_reconstructed_ = 0;
+
+ private:
+  void ReconstructNextStripe(int64_t stripe);
+
+  std::function<void()> reconstruction_done_;
+  std::array<uint64_t, static_cast<size_t>(DiskOpPurpose::kNumPurposes)> disk_ops_{};
+  uint64_t loss_events_ = 0;
+  int64_t bytes_lost_ = 0;
+  LossListener loss_listener_;
+};
+
+}  // namespace afraid
+
+#endif  // AFRAID_ARRAY_ARRAY_ENGINE_H_

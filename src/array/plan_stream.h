@@ -13,10 +13,11 @@
 // three slots: memory is O(chunk + outstanding window), independent of trace
 // length.
 //
-// Trajectory equivalence with the monolithic PlanReplayer (experiment.cc) is
-// by construction: arrivals are chained -- each arrival event submits, then
-// schedules the next arrival at max(record.time, now) -- exactly like the
-// monolithic replayer. When a chunk runs dry mid-event the replayer goes
+// The replayer is the only replay driver: an in-memory trace is one plan fed
+// once (ring-less), a trace file a chain of chunk plans. Trajectory
+// equivalence between the two is by construction: arrivals are chained --
+// each arrival event submits, then schedules the next arrival at
+// max(record.time, now). When a chunk runs dry mid-event the replayer goes
 // "starved"; the driving loop feeds the next chunk *before* stepping the
 // simulator again, so the next arrival is inserted into the event queue at
 // the same point in the event sequence as if the whole trace were one plan.

@@ -83,6 +83,9 @@ struct SchemeStats {
   double t_unprot_fraction = 0.0;
   int64_t max_dirty_stripes = 0;
   uint64_t stripes_rebuilt = 0;
+  // Stripes the replacement-disk sweep restored (every scheme counts them
+  // alike; AFRAID's stripes_rebuilt counts idle-time parity refreshes).
+  uint64_t stripes_reconstructed = 0;
   uint64_t rebuild_passes = 0;
   uint64_t afraid_mode_writes = 0;
   uint64_t raid5_mode_writes = 0;

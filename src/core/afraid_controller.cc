@@ -4,61 +4,15 @@
 #include <cassert>
 #include <utility>
 
-#include "array/decluster.h"
-
 namespace afraid {
-
-const char* DiskOpPurposeName(DiskOpPurpose purpose) {
-  switch (purpose) {
-    case DiskOpPurpose::kClientRead:
-      return "client read";
-    case DiskOpPurpose::kClientWrite:
-      return "client write";
-    case DiskOpPurpose::kOldDataRead:
-      return "old-data read";
-    case DiskOpPurpose::kOldParityRead:
-      return "old-parity read";
-    case DiskOpPurpose::kParityWrite:
-      return "parity write";
-    case DiskOpPurpose::kReconstructRead:
-      return "reconstruct read";
-    case DiskOpPurpose::kRebuildRead:
-      return "rebuild read";
-    case DiskOpPurpose::kRebuildWrite:
-      return "rebuild write";
-    case DiskOpPurpose::kRecoveryRead:
-      return "recovery read";
-    case DiskOpPurpose::kRecoveryWrite:
-      return "recovery write";
-    case DiskOpPurpose::kNumPurposes:
-      break;
-  }
-  return "unknown";
-}
-
-const char* LossCauseName(LossCause cause) {
-  switch (cause) {
-    case LossCause::kStaleParityDegradedRead:
-      return "stale-parity degraded read";
-    case LossCause::kStaleParityReconstruction:
-      return "stale-parity reconstruction";
-  }
-  return "unknown";
-}
 
 AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
                                    std::unique_ptr<ParityPolicy> policy,
                                    const AvailabilityParams& avail_params, Probe probe)
-    : sim_(sim),
-      cfg_(config),
+    : ArrayEngine(sim, config, MakeStripedLayout(config, config.parity_blocks),
+                  config.parity_blocks, probe),
       policy_(std::move(policy)),
       avail_params_(avail_params),
-      layout_(MakeLayout(config.layout, config.num_disks,
-                         config.stripe_unit_bytes,
-                         DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
-                                      config.disk_spec.sector_bytes)
-                             .CapacityBytes(),
-                         config.parity_blocks, config.decluster_width)),
       nvram_(layout_->num_stripes() * config.marks_per_stripe),
       read_cache_(config.read_cache_bytes, config.stripe_unit_bytes),
       staging_(config.write_staging_bytes, config.stripe_unit_bytes),
@@ -72,18 +26,6 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
   assert((cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes) %
              cfg_.marks_per_stripe ==
          0);
-  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    const Probe disk_probe = probe.NewTrack("disk" + std::to_string(d));
-    disk_probes_.push_back(disk_probe);
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d, disk_probe));
-  }
-  ctrl_probe_ = probe.NewTrack("controller");
-  rebuild_probe_ = probe.NewTrack("rebuild");
-  if (cfg_.track_content) {
-    content_ = std::make_unique<ContentModel>(
-        layout_->data_blocks_per_stripe(), layout_->parity_blocks(),
-        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
-  }
   idle_detector_ = std::make_unique<IdleDetector>(sim_, cfg_.idle_delay, [this] {
     // The array has been completely idle for the configured delay: start
     // processing pending parity updates if the policy permits.
@@ -110,32 +52,19 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
 
 AfraidController::~AfraidController() = default;
 
-uint64_t AfraidController::TotalDiskOps() const {
-  uint64_t total = 0;
-  for (uint64_t c : disk_ops_) {
-    total += c;
-  }
-  return total;
-}
-
 std::string AfraidController::PolicyLabel() const { return policy_->Name(); }
 
 SchemeState AfraidController::State() const {
-  SchemeState st;
-  st.failed_disk = failed_disk_;
-  st.recovering_disk = recovering_disk_;
-  st.reconstruction_active = reconstruction_active_;
+  SchemeState st = ArrayEngine::State();
   st.rebuild_active = rebuilding_;
   st.dirty_marks = nvram_.DirtyCount();
   st.parity_lag_bytes = CurrentParityLagBytes();
   st.last_write_raid5 = last_write_raid5_;
-  st.loss_events = loss_events_;
-  st.bytes_lost = bytes_lost_;
   return st;
 }
 
 SchemeStats AfraidController::Stats() const {
-  SchemeStats s;
+  SchemeStats s = ArrayEngine::Stats();
   s.mean_parity_lag_bytes = MeanParityLagBytes();
   s.t_unprot_fraction = TUnprotFraction();
   s.max_dirty_stripes = MaxDirtyStripes();
@@ -143,7 +72,6 @@ SchemeStats AfraidController::Stats() const {
   s.rebuild_passes = rebuild_passes_;
   s.afraid_mode_writes = afraid_mode_writes_;
   s.raid5_mode_writes = raid5_mode_writes_;
-  s.disk_ops_total = TotalDiskOps();
   s.disk_ops_rebuild = DiskOps(DiskOpPurpose::kRebuildRead) +
                        DiskOps(DiskOpPurpose::kRebuildWrite);
   s.disk_ops_parity = DiskOps(DiskOpPurpose::kParityWrite) +
@@ -151,8 +79,6 @@ SchemeStats AfraidController::Stats() const {
                       DiskOps(DiskOpPurpose::kOldParityRead);
   s.cache_hits = CacheHits();
   s.idle_fraction = IdleFraction();
-  s.loss_events = loss_events_;
-  s.bytes_lost = bytes_lost_;
   return s;
 }
 
@@ -171,7 +97,7 @@ PolicyContext AfraidController::MakePolicyContext() const {
 
 // --- Bookkeeping helpers ------------------------------------------------------
 
-void AfraidController::NoteClientStart() {
+void AfraidController::OnClientStart() {
   if (outstanding_clients_ == 0) {
     busy_clients_.Set(sim_->Now(), 1.0);
     idle_detector_->NoteBusy();
@@ -187,7 +113,7 @@ void AfraidController::NoteClientStart() {
   ++outstanding_clients_;
 }
 
-void AfraidController::NoteClientEnd() {
+void AfraidController::OnClientEnd() {
   assert(outstanding_clients_ > 0);
   --outstanding_clients_;
   if (outstanding_clients_ == 0) {
@@ -271,120 +197,37 @@ bool AfraidController::WantRaid5Write() {
   return policy_->UseRaid5Write(MakePolicyContext());
 }
 
-void AfraidController::RecordLoss(LossCause cause, int64_t stripe, int64_t bytes) {
-  assert(bytes > 0);
-  ++loss_events_;
-  bytes_lost_ += bytes;
-  if (ctrl_probe_) {
-    ctrl_probe_.Instant(std::string("data loss: ") + LossCauseName(cause), sim_->Now());
-  }
-  if (loss_listener_) {
-    LossEvent ev;
-    ev.time = sim_->Now();
-    ev.cause = cause;
-    ev.stripe = stripe;
-    ev.bytes = bytes;
-    loss_listener_(ev);
-  }
-}
-
-void AfraidController::IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length,
-                                   bool is_write, DiskOpPurpose purpose,
-                                   DiskDone done) {
-  assert(disk >= 0 && disk < cfg_.num_disks);
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  assert(byte_offset % sector == 0);
-  assert(length > 0 && length % sector == 0);
-  ++disk_ops_[static_cast<size_t>(purpose)];
-  DiskOp op;
-  op.lba = byte_offset / sector;
-  op.sectors = static_cast<int32_t>(length / sector);
-  op.is_write = is_write;
-  const Probe disk_probe =
-      disk_probes_.empty() ? Probe() : disk_probes_[static_cast<size_t>(disk)];
-  if (disk_probe) {
-    disks_[static_cast<size_t>(disk)]->Submit(
-        op,
-        [disk_probe, purpose, done = std::move(done)](const DiskOpResult& r) mutable {
-          if (r.ok) {
-            // Emitted at completion, so per-track spans are ordered by finish
-            // time (tests/obs asserts this invariant).
-            disk_probe.Complete(DiskOpPurposeName(purpose), r.service_start, r.finish);
-          }
-          done(r.ok);
-        });
-  } else {
-    disks_[static_cast<size_t>(disk)]->Submit(
-        op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-  }
-}
-
-// --- Client entry point -------------------------------------------------------
-
-void AfraidController::Submit(const ClientRequest& request, RequestDone done) {
-  assert(request.size > 0);
-  assert(request.offset >= 0 &&
-         request.offset + request.size <= layout_->data_capacity_bytes());
-  NoteClientStart();
-  // The client-completion + NoteClientEnd pair is folded into the request's
-  // join callback (DoRead/DoWrite) so no intermediate wrapper is needed.
-  if (request.is_write) {
-    DoWrite(request, std::move(done));
-  } else {
-    DoRead(request, std::move(done));
-  }
-}
-
 // --- Reads ----------------------------------------------------------------------
 
-void AfraidController::DoRead(const ClientRequest& r, RequestDone done) {
-  // Planned requests carry their precompiled Split(); unplanned ones split
-  // into the scratch, which is only read within this synchronous loop (every
-  // continuation captures its Segment by value).
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &read_split_scratch_);
-    segs = Span<Segment>{read_split_scratch_.data(),
-                         static_cast<int32_t>(read_split_scratch_.size())};
+void AfraidController::ReadSegment(const Segment& seg, JoinBlock* join) {
+  const int32_t disk = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
+  if (DiskUnavailable(disk, seg.stripe)) {
+    AfraidDegradedRead(seg, join);
+    return;
   }
-  JoinBlock* join = joins_.Make(segs.count,
-                                [this, done = std::move(done)](bool) mutable {
-                                  done();
-                                  NoteClientEnd();
-                                });
-  for (const Segment& seg : segs) {
-    const int32_t disk = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
-    const bool need_degraded =
-        disk == failed_disk_ ||
-        (disk == recovering_disk_ && seg.stripe >= recovery_frontier_);
-    if (need_degraded) {
-      DegradedReadSegment(seg, join);
-      continue;
-    }
-    const int64_t key = BlockKey(seg.stripe, seg.block_in_stripe);
-    if (read_cache_.Lookup(key) || staging_.Lookup(key)) {
-      sim_->After(cfg_.cache_hit_time, [join] { join->Dec(true); });
-      continue;
-    }
-    const int64_t disk_off =
-        layout_->DataLocation(seg.stripe, seg.block_in_stripe).byte_offset +
-        seg.offset_in_block;
-    IssueDiskOp(disk, disk_off, seg.length, /*is_write=*/false,
-                DiskOpPurpose::kClientRead, [this, seg, key, join](bool ok) {
-                  if (ok) {
-                    if (seg.length == layout_->stripe_unit()) {
-                      read_cache_.Insert(key);
-                    }
-                    join->Dec(true);
-                  } else {
-                    // The disk died mid-flight: recover via parity.
-                    DegradedReadSegment(seg, join);
+  const int64_t key = BlockKey(seg.stripe, seg.block_in_stripe);
+  if (read_cache_.Lookup(key) || staging_.Lookup(key)) {
+    sim_->After(cfg_.cache_hit_time, [join] { join->Dec(true); });
+    return;
+  }
+  const int64_t disk_off =
+      layout_->DataLocation(seg.stripe, seg.block_in_stripe).byte_offset +
+      seg.offset_in_block;
+  IssueDiskOp(disk, disk_off, seg.length, /*is_write=*/false,
+              DiskOpPurpose::kClientRead, [this, seg, key, join](bool ok) {
+                if (ok) {
+                  if (seg.length == layout_->stripe_unit()) {
+                    read_cache_.Insert(key);
                   }
-                });
-  }
+                  join->Dec(true);
+                } else {
+                  // The disk died mid-flight: recover via parity.
+                  AfraidDegradedRead(seg, join);
+                }
+              });
 }
 
-void AfraidController::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
+void AfraidController::AfraidDegradedRead(const Segment& seg, JoinBlock* parent) {
   const int64_t stripe = seg.stripe;
   locks_.Acquire(stripe, LockMode::kExclusive, [this, seg, stripe, parent] {
     const int32_t n = layout_->data_blocks_per_stripe();
@@ -417,55 +260,10 @@ void AfraidController::DegradedReadSegment(const Segment& seg, JoinBlock* parent
 
 // --- Writes ---------------------------------------------------------------------
 
-void AfraidController::DoWrite(const ClientRequest& r, RequestDone done) {
-  // The segments must stay alive (and in place) until the request's join
-  // fires; the per-stripe groups are spans into them. A planned request's
-  // segments live in the RequestPlan (stable for the whole run); otherwise a
-  // pooled vector holds them, owned by the join. Split emits nondecreasing
-  // stripe numbers, so the old std::map grouping is equivalent to a
-  // contiguous-run scan -- same groups, same ascending order.
-  std::vector<Segment>* pooled = nullptr;
-  const Segment* base = r.plan_segs;
-  auto count = static_cast<size_t>(r.plan_seg_count);
-  if (base == nullptr) {
-    pooled = seg_pool_.Acquire();
-    layout_->SplitInto(r.offset, r.size, pooled);
-    base = pooled->data();
-    count = pooled->size();
-  }
-  int32_t n_groups = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (i == 0 || base[i].stripe != base[i - 1].stripe) {
-      ++n_groups;
-    }
-  }
-  JoinBlock* join =
-      joins_.Make(n_groups, [this, done = std::move(done), pooled](bool) mutable {
-        if (pooled != nullptr) {
-          seg_pool_.Release(pooled);
-        }
-        done();
-        NoteClientEnd();
-      });
-  size_t i = 0;
-  while (i < count) {
-    size_t j = i + 1;
-    while (j < count && base[j].stripe == base[i].stripe) {
-      ++j;
-    }
-    RunStripeWriteGroup(r.id, base[i].stripe,
-                        Span<Segment>{base + i, static_cast<int32_t>(j - i)}, 0,
-                        join);
-    i = j;
-  }
-}
-
 void AfraidController::RunStripeWriteGroup(uint64_t request_id, int64_t stripe,
                                            Span<Segment> segs, int32_t attempt,
                                            JoinBlock* group_join) {
-  const bool degraded =
-      failed_disk_ >= 0 ||
-      (recovering_disk_ >= 0 && stripe >= recovery_frontier_);
+  const bool degraded = StripeDegraded(stripe);
   // Per-region redundancy classes (Section 5) override the policy.
   const RedundancyClass cls = RegionClassOf(stripe);
   if (!degraded && cls == RedundancyClass::kAlwaysAfraid) {
@@ -615,9 +413,7 @@ void AfraidController::Raid5WriteGroup(uint64_t request_id, int64_t stripe,
     // not-yet-reconstructed disk); both recompute parity from scratch.
     // Otherwise pick reconstruct-write when the group touches more than the
     // configured fraction of the stripe.
-    const bool degraded =
-        failed_disk_ >= 0 ||
-        (recovering_disk_ >= 0 && stripe >= recovery_frontier_);
+    const bool degraded = StripeDegraded(stripe);
     const bool reconstruct =
         !full_stripe &&
         (dirty || degraded ||
@@ -1140,192 +936,44 @@ void AfraidController::RebuildAll(std::function<void()> done) {
   TriggerRebuildCheck();
 }
 
-// --- Failure injection & recovery ---------------------------------------------------
+// --- Recovery sweeps -------------------------------------------------------------------
 
-bool AfraidController::FailDisk(int32_t disk) {
-  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
-      recovering_disk_ >= 0) {
-    return false;
+void AfraidController::ReconstructStripe(int64_t stripe, int32_t target) {
+  // A replaced parity unit is recomputed from the data, losslessly even for
+  // a dirty stripe. A replaced data block is the xor of the other data
+  // blocks and the parity; if the parity was stale at failure time the xor
+  // is *not* the lost data -- its stale bands are gone (the Section 3.2
+  // small-loss mode): record it and move on.
+  const int32_t j_target = DataBlockOn(stripe, target);
+  int32_t dirty_bands = 0;
+  for (int32_t b = 0; b < cfg_.marks_per_stripe; ++b) {
+    if (nvram_.IsDirty(stripe * cfg_.marks_per_stripe + b)) {
+      ++dirty_bands;
+    }
   }
-  failed_disk_ = disk;
-  disks_[static_cast<size_t>(disk)]->Fail();
-  if (ctrl_probe_) {
-    ctrl_probe_.Instant("fail disk" + std::to_string(disk), sim_->Now());
-  }
-  return true;
-}
-
-bool AfraidController::ReplaceDisk(int32_t disk) {
-  if (disk != failed_disk_ || disk < 0) {
-    return false;
-  }
-  disks_[static_cast<size_t>(disk)]->Replace();
-  failed_disk_ = -1;
-  recovering_disk_ = disk;
-  recovery_frontier_ = 0;
-  if (ctrl_probe_) {
-    ctrl_probe_.Instant("replace disk" + std::to_string(disk), sim_->Now());
-  }
-  // The replacement mechanism is blank; model its contents as zeroes.
-  if (content_ != nullptr) {
-    for (int64_t s : content_->TouchedStripes()) {
-      for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-        if (layout_->DataDisk(s, j) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetData(s, j, i, 0);
+  RebuildUnitFromPeers(stripe, target, j_target, [this, stripe, j_target,
+                                                  dirty_bands](bool ok) {
+    if (ok) {
+      if (content_ != nullptr) {
+        const int32_t spu = content_->sectors_per_unit();
+        if (j_target < 0) {
+          parity_scratch_.resize(static_cast<size_t>(spu));
+          content_->XorOfDataAll(stripe, parity_scratch_.data());
+          content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
+        } else {
+          for (int32_t i = 0; i < spu; ++i) {
+            content_->SetData(stripe, j_target, i,
+                              content_->ReconstructData(stripe, j_target, i));
           }
         }
       }
-      if (layout_->ParityDisk(s) == disk) {
-        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-          content_->SetParity(s, i, 0);
-        }
+      if (j_target >= 0 && dirty_bands > 0) {
+        RecordLoss(LossCause::kStaleParityReconstruction, stripe,
+                   dirty_bands * (layout_->stripe_unit() / cfg_.marks_per_stripe));
       }
+      ClearAllBands(stripe);
     }
-  }
-  return true;
-}
-
-bool AfraidController::StartReconstruction(std::function<void()> done) {
-  if (recovering_disk_ < 0 || reconstruction_active_) {
-    return false;
-  }
-  reconstruction_active_ = true;
-  reconstruction_done_ = std::move(done);
-  if (rebuild_probe_) {
-    rebuild_probe_.AsyncBegin("reconstruction", 1, sim_->Now());
-  }
-  ReconstructNextStripe(0);
-  return true;
-}
-
-void AfraidController::ReconstructNextStripe(int64_t stripe) {
-  // Declustered layouts place only some stripes on any given disk; stripes
-  // without a unit on the replaced disk need no work (and do not count as
-  // rebuilt). Left-symmetric layouts never skip.
-  while (stripe < layout_->num_stripes() &&
-         !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
-    ++stripe;
-  }
-  if (stripe >= layout_->num_stripes()) {
-    reconstruction_active_ = false;
-    recovering_disk_ = -1;
-    recovery_frontier_ = 0;
-    if (rebuild_probe_) {
-      rebuild_probe_.AsyncEnd("reconstruction", 1, sim_->Now());
-    }
-    auto done = std::move(reconstruction_done_);
-    if (done) {
-      done();
-    }
-    TriggerRebuildCheck();
-    return;
-  }
-  const int32_t target = recovering_disk_;
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe, target] {
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    const int32_t pd = layout_->ParityDisk(stripe);
-
-    auto advance = [this, stripe](bool) {
-      recovery_frontier_ = stripe + 1;
-      locks_.Release(stripe, LockMode::kExclusive);
-      ReconstructNextStripe(stripe + 1);
-    };
-
-    if (pd == target) {
-      // The replaced disk held this stripe's parity: recompute from data.
-      // Note this is lossless even for a dirty stripe.
-      const BlockLoc ploc = layout_->ParityLocation(stripe);
-      auto write = [this, stripe, unit, ploc, advance](bool ok) {
-        if (!ok) {
-          advance(false);
-          return;
-        }
-        IssueDiskOp(ploc.disk, ploc.byte_offset, unit, /*is_write=*/true,
-                    DiskOpPurpose::kRecoveryWrite, [this, stripe, advance](bool ok2) {
-                      if (ok2) {
-                        if (content_ != nullptr) {
-                          const int32_t spu = content_->sectors_per_unit();
-                          parity_scratch_.resize(static_cast<size_t>(spu));
-                          content_->XorOfDataAll(stripe, parity_scratch_.data());
-                          content_->SetParityRange(stripe, 0, spu,
-                                                   parity_scratch_.data());
-                        }
-                        ClearAllBands(stripe);
-                      }
-                      advance(ok2);
-                    });
-      };
-      JoinBlock* join = joins_.Make(n, std::move(write));
-      for (int32_t j = 0; j < n; ++j) {
-        const BlockLoc dl = layout_->DataLocation(stripe, j);
-        IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                    /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
-                    [join](bool ok) { join->Dec(ok); });
-      }
-      return;
-    }
-
-    // The replaced disk held a data block: rebuild it as the xor of the
-    // other data blocks and the parity. If the stripe's parity was stale at
-    // failure time, the xor is *not* the lost data -- that block is gone
-    // (the Section 3.2 small-loss mode); we record it and move on.
-    int32_t j_target = -1;
-    for (int32_t j = 0; j < n; ++j) {
-      if (layout_->DataDisk(stripe, j) == target) {
-        j_target = j;
-        break;
-      }
-    }
-    assert(j_target >= 0);
-    int32_t dirty_bands = 0;
-    for (int32_t b = 0; b < cfg_.marks_per_stripe; ++b) {
-      if (nvram_.IsDirty(stripe * cfg_.marks_per_stripe + b)) {
-        ++dirty_bands;
-      }
-    }
-    const int64_t target_off = layout_->DataLocation(stripe, j_target).byte_offset;
-    auto write = [this, stripe, unit, target, target_off, j_target, dirty_bands,
-                  advance](bool ok) {
-      if (!ok) {
-        advance(false);
-        return;
-      }
-      IssueDiskOp(target, target_off, unit, /*is_write=*/true,
-                  DiskOpPurpose::kRecoveryWrite,
-                  [this, stripe, j_target, dirty_bands, advance](bool ok2) {
-                    if (ok2) {
-                      if (content_ != nullptr) {
-                        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-                          content_->SetData(stripe, j_target, i,
-                                            content_->ReconstructData(stripe, j_target, i));
-                        }
-                      }
-                      if (dirty_bands > 0) {
-                        // Only the stale bands of the lost block are gone.
-                        RecordLoss(LossCause::kStaleParityReconstruction, stripe,
-                                   dirty_bands *
-                                       (layout_->stripe_unit() / cfg_.marks_per_stripe));
-                      }
-                      ClearAllBands(stripe);
-                    }
-                    advance(ok2);
-                  });
-    };
-    JoinBlock* join = joins_.Make(n, std::move(write));  // n-1 data + parity reads.
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == j_target) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                  /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
-                  [join](bool ok) { join->Dec(ok); });
-    }
-    const BlockLoc ploc = layout_->ParityLocation(stripe);
-    IssueDiskOp(ploc.disk, ploc.byte_offset, unit, /*is_write=*/false,
-                DiskOpPurpose::kRecoveryRead, [join](bool ok) { join->Dec(ok); });
+    StripeReconstructed(stripe);
   });
 }
 

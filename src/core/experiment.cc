@@ -20,40 +20,6 @@
 namespace afraid {
 namespace {
 
-// Feeds precompiled plan records into the host driver at their arrival
-// times. Arrival events are chained (one pending event at a time) so the
-// event queue stays small even for multi-million-record traces. The plan's
-// arrival schedule and segments match the trace exactly (array/plan.h), so a
-// planned replay walks the bit-identical event trajectory a record-by-record
-// replay would.
-class PlanReplayer {
- public:
-  PlanReplayer(Simulator* sim, HostDriver* driver, const RequestPlan& plan)
-      : sim_(sim), driver_(driver), plan_(plan) {}
-
-  void Start() { ScheduleNext(); }
-  bool Finished() const { return next_ >= plan_.size(); }
-
- private:
-  void ScheduleNext() {
-    if (Finished()) {
-      return;
-    }
-    const PlanRecord& r = plan_.record(next_);
-    sim_->At(std::max(r.time, sim_->Now()), [this, &r] {
-      const Span<Segment> segs = plan_.segments(next_);
-      driver_->SubmitPlanned(r.offset, r.size, r.is_write, segs.data, segs.count);
-      ++next_;
-      ScheduleNext();
-    });
-  }
-
-  Simulator* sim_;
-  HostDriver* driver_;
-  const RequestPlan& plan_;
-  size_t next_ = 0;
-};
-
 // Registers the standard metric set against the live components. Samplers
 // only *read* component state, so a snapshot cannot alter the simulation.
 void RegisterMetrics(MetricsRegistry* metrics, const ArrayConfig& config,
@@ -136,10 +102,10 @@ SimReport Experiment::Run() {
   assert(controller != nullptr && "Experiment: unknown scheme name");
   HostDriver driver(&sim, controller.get(), cfg_.MaxActive(), cfg_.host_sched,
                     Probe(tracer.get()));
-  // Compile the replay plan against the exact layout the controller derived
-  // from cfg_: every record's mapping is resolved here, once, so the
-  // simulation loop never divides by the stripe geometry. The plan outlives
-  // the run, so controllers hold spans into it across continuations.
+  // Replay plans compile against the exact layout the controller derived
+  // from cfg_: every record's mapping is resolved once, so the simulation
+  // loop never divides by the stripe geometry. Controllers hold spans into a
+  // plan across continuations, so plans outlive the requests they submit.
   const ArrayLayout& plan_layout = controller->layout();
 
   std::unique_ptr<MetricsRegistry> metrics;
@@ -152,92 +118,75 @@ SimReport Experiment::Run() {
   trace_status_ = TraceStatus::Ok();
   stream_stats_ = StreamStats{};
 
+  // One replay driver for both sources: a trace file streams chunk by chunk
+  // through the bounded plan ring, an in-memory trace is compiled into one
+  // plan fed once. The replayer chains arrivals, so a plan split into chunks
+  // walks the same event trajectory as the whole plan. Metric snapshots are
+  // interleaved *between* events: before each event every whole sampling
+  // interval that elapses strictly before it is recorded. The clock never
+  // advances for a snapshot, so the run (and its SimReport) stays
+  // bit-identical to the unobserved one. Background rebuilds triggered by
+  // trailing idleness run in the final drain.
+  std::unique_ptr<TraceChunkReader> reader;
+  std::unique_ptr<StreamingPlanCompiler> compiler;
   if (streaming) {
-    // Streaming path: pull chunks through the bounded plan ring, feeding the
-    // replayer and stepping the simulator until it starves for the next
-    // chunk. Feeding happens before the next Step, so arrivals enter the
-    // event queue at the same point in the event sequence as the monolithic
-    // replayer's chained arrivals -- the trajectory is byte-identical.
-    TraceChunkReader reader(trace_file_, stream_opts_);
-    StreamingPlanCompiler compiler(&reader, plan_layout);
-    StreamingPlanReplayer replayer(&sim, &driver, compiler.ring());
-    driver.SetCompletionListener(
-        [&replayer](uint64_t id, double, bool) { replayer.OnComplete(id); });
+    reader = std::make_unique<TraceChunkReader>(trace_file_, stream_opts_);
+    compiler = std::make_unique<StreamingPlanCompiler>(reader.get(), plan_layout);
+  }
+  StreamingPlanReplayer replayer(&sim, &driver,
+                                 streaming ? compiler->ring() : nullptr);
+  driver.SetCompletionListener(
+      [&replayer](uint64_t id, double, bool) { replayer.OnComplete(id); });
 
-    const SimDuration interval =
-        obs_.metrics_interval > 0 ? obs_.metrics_interval : Milliseconds(100);
-    SimTime next_snap = 0;
-    if (metrics != nullptr) {
-      metrics->Snapshot(sim.Now());
-      next_snap = sim.Now() + interval;
-    }
-    // Snapshot-between-events stepping, identical to the monolithic loop
-    // below; `more` lets the feed loop break out at starvation.
-    const auto pump = [&](const auto& more) {
-      while (!sim.Idle() && more()) {
-        if (metrics != nullptr) {
-          const SimTime horizon = sim.NextEventTime();
-          while (next_snap < horizon) {
-            metrics->Snapshot(next_snap);
-            next_snap += interval;
-          }
-        }
-        sim.Step();
-      }
-    };
-    while (const RequestPlan* p = compiler.Next()) {
-      driver.ReserveLatencySamples(reader.records_read());
-      replayer.Feed(p);
-      pump([&replayer] { return !replayer.starved(); });
-    }
-    replayer.FinishFeeding();
-    pump([] { return true; });
-    if (metrics != nullptr) {
-      metrics->Snapshot(sim.Now());
-    }
-    driver.SetCompletionListener(nullptr);
-
-    trace_status_ = reader.status();
-    workload_name = reader.name();
-    stream_stats_.chunks = reader.chunks_read();
-    stream_stats_.records = reader.records_read();
-    stream_stats_.peak_plan_bytes = compiler.ring()->peak_bytes();
-    stream_stats_.peak_buffer_bytes = reader.peak_buffer_bytes();
-    stream_stats_.ring_slots = compiler.ring()->slots();
-  } else {
-    const afraid::Trace& trace = *trace_;
-    workload_name = trace.name;
-    const RequestPlan plan(trace, plan_layout);
-    driver.ReserveLatencySamples(plan.size());
-    PlanReplayer replayer(&sim, &driver, plan);
-    replayer.Start();
-
-    // Run the arrival schedule plus whatever work it leaves behind.
-    // Background rebuilds triggered by trailing idleness run here too;
-    // measurement of the lag statistics ends at the instant the last request
-    // completes.
-    if (metrics == nullptr) {
-      sim.RunToEnd();
-    } else {
-      // Same event trajectory, but with snapshots interleaved *between*
-      // events: before each event we record every whole sampling interval
-      // that elapses strictly before it. The clock never advances for a
-      // snapshot, so the run (and its SimReport) stays bit-identical to the
-      // unobserved one.
-      const SimDuration interval =
-          obs_.metrics_interval > 0 ? obs_.metrics_interval : Milliseconds(100);
-      metrics->Snapshot(sim.Now());
-      SimTime next_snap = sim.Now() + interval;
-      while (!sim.Idle()) {
+  const SimDuration interval =
+      obs_.metrics_interval > 0 ? obs_.metrics_interval : Milliseconds(100);
+  SimTime next_snap = 0;
+  if (metrics != nullptr) {
+    metrics->Snapshot(sim.Now());
+    next_snap = sim.Now() + interval;
+  }
+  // `more` lets the feed loop break out when the replayer starves.
+  const auto pump = [&](const auto& more) {
+    while (!sim.Idle() && more()) {
+      if (metrics != nullptr) {
         const SimTime horizon = sim.NextEventTime();
         while (next_snap < horizon) {
           metrics->Snapshot(next_snap);
           next_snap += interval;
         }
-        sim.Step();
       }
-      metrics->Snapshot(sim.Now());
+      sim.Step();
     }
+  };
+  RequestPlan plan;  // An in-memory trace's whole plan; outlives the run.
+  if (streaming) {
+    while (const RequestPlan* p = compiler->Next()) {
+      driver.ReserveLatencySamples(reader->records_read());
+      replayer.Feed(p);
+      pump([&replayer] { return !replayer.starved(); });
+    }
+  } else {
+    plan.Compile(trace_->records.data(), trace_->records.size(), plan_layout);
+    driver.ReserveLatencySamples(plan.size());
+    replayer.Feed(&plan);
+  }
+  replayer.FinishFeeding();
+  pump([] { return true; });
+  if (metrics != nullptr) {
+    metrics->Snapshot(sim.Now());
+  }
+  driver.SetCompletionListener(nullptr);
+
+  if (streaming) {
+    trace_status_ = reader->status();
+    workload_name = reader->name();
+    stream_stats_.chunks = reader->chunks_read();
+    stream_stats_.records = reader->records_read();
+    stream_stats_.peak_plan_bytes = compiler->ring()->peak_bytes();
+    stream_stats_.peak_buffer_bytes = reader->peak_buffer_bytes();
+    stream_stats_.ring_slots = compiler->ring()->slots();
+  } else {
+    workload_name = trace_->name;
   }
   assert(driver.Drained());
 

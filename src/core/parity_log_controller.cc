@@ -4,9 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "array/decluster.h"
-#include "disk/geometry.h"
-
 namespace afraid {
 
 ParityLogConfig ParityLogConfig::FittedTo(int64_t disk_capacity_bytes) const {
@@ -18,140 +15,29 @@ ParityLogConfig ParityLogConfig::FittedTo(int64_t disk_capacity_bytes) const {
   return fitted;
 }
 
-namespace {
-
-int64_t PlDiskCapacity(const ArrayConfig& config) {
-  return DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
-                      config.disk_spec.sector_bytes)
-      .CapacityBytes();
-}
-
-}  // namespace
-
 ParityLogController::ParityLogController(Simulator* sim, const ArrayConfig& config,
-                                         const ParityLogConfig& log_config)
-    : sim_(sim),
-      cfg_(config),
-      log_cfg_(log_config.FittedTo(PlDiskCapacity(config))),
-      layout_(MakeLayout(config.layout, config.num_disks,
-                         config.stripe_unit_bytes,
-                         PlDiskCapacity(config) - log_cfg_.log_region_bytes,
-                         /*parity_blocks=*/1, config.decluster_width)) {
+                                         const ParityLogConfig& log_config, Probe probe)
+    : ArrayEngine(sim, config,
+                  MakeStripedLayout(config, /*parity_blocks=*/1,
+                                    log_config.FittedTo(DiskCapacityBytes(config))
+                                        .log_region_bytes),
+                  /*content_parity_slots=*/1, probe),
+      log_cfg_(log_config.FittedTo(DiskCapacityBytes(config))) {
   assert(log_cfg_.log_region_bytes > log_cfg_.nvram_buffer_bytes);
-  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d));
-  }
-  if (cfg_.track_content) {
-    content_ = std::make_unique<ContentModel>(
-        layout_->data_blocks_per_stripe(), /*parity_blocks=*/1,
-        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
-  }
 }
 
 ParityLogController::~ParityLogController() = default;
 
-void ParityLogController::IssueDiskOp(int32_t disk, int64_t byte_offset,
-                                      int64_t length, bool is_write,
-                                      DiskDone done) {
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  assert(byte_offset % sector == 0 && length > 0 && length % sector == 0);
-  ++disk_ops_;
-  DiskOp op;
-  op.lba = byte_offset / sector;
-  op.sectors = static_cast<int32_t>(length / sector);
-  op.is_write = is_write;
-  disks_[static_cast<size_t>(disk)]->Submit(
-      op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-}
-
-void ParityLogController::Submit(const ClientRequest& request, RequestDone done) {
-  assert(request.size > 0);
-  assert(request.offset >= 0 &&
-         request.offset + request.size <= layout_->data_capacity_bytes());
-  if (request.is_write) {
-    DoWrite(request, std::move(done));
+void ParityLogController::WriteSegment(uint64_t request_id, const Segment& seg,
+                                       JoinBlock* join) {
+  if (log_used_ >= log_cfg_.log_region_bytes) {
+    // The log is hard-full: "the pending parity updates must be applied
+    // immediately, interrupting foreground processing to do so." The
+    // write resumes as soon as a replay batch reclaims space.
+    ++hard_stalls_;
+    stalled_.push_back(StalledWrite{request_id, seg, join});
   } else {
-    DoRead(request, std::move(done));
-  }
-}
-
-void ParityLogController::DoRead(const ClientRequest& r, RequestDone done) {
-  // Planned requests carry their precompiled Split() (see array/plan.h).
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &split_scratch_);
-    segs = Span<Segment>{split_scratch_.data(),
-                         static_cast<int32_t>(split_scratch_.size())};
-  }
-  JoinBlock* join = joins_.Make(
-      segs.count, [done = std::move(done)](bool) mutable { done(); });
-  for (const Segment& seg : segs) {
-    const BlockLoc dl = layout_->DataLocation(seg.stripe, seg.block_in_stripe);
-    if (DiskUnavailable(dl.disk, seg.stripe)) {
-      DegradedReadSegment(seg, join);
-      continue;
-    }
-    IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, [join](bool) { join->Dec(true); });
-  }
-}
-
-void ParityLogController::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
-  locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, seg, parent] {
-    const int64_t stripe = seg.stripe;
-    const BlockLoc tl = layout_->DataLocation(stripe, seg.block_in_stripe);
-    if (!DiskUnavailable(tl.disk, stripe)) {
-      // The reconstruction sweep passed this stripe while we waited on the
-      // lock: plain read.
-      IssueDiskOp(tl.disk, tl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, [this, stripe, parent](bool) {
-                    locks_.Release(stripe, LockMode::kExclusive);
-                    parent->Dec(true);
-                  });
-      return;
-    }
-    // n-1 surviving data blocks plus the parity block. The pending images
-    // (NVRAM + log, both durable) make the parity information live, so the
-    // reconstructed bytes are exactly the client's data: no loss mode here.
-    const int32_t n = layout_->data_blocks_per_stripe();
-    JoinBlock* join = joins_.Make(n, [this, stripe, parent](bool) {
-      locks_.Release(stripe, LockMode::kExclusive);
-      parent->Dec(true);
-    });
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == seg.block_in_stripe) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, [join](bool) { join->Dec(true); });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false,
-                [join](bool) { join->Dec(true); });
-  });
-}
-
-void ParityLogController::DoWrite(const ClientRequest& r, RequestDone done) {
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &split_scratch_);
-    segs = Span<Segment>{split_scratch_.data(),
-                         static_cast<int32_t>(split_scratch_.size())};
-  }
-  JoinBlock* join = joins_.Make(
-      segs.count, [done = std::move(done)](bool) mutable { done(); });
-  for (const Segment& seg : segs) {
-    if (log_used_ >= log_cfg_.log_region_bytes) {
-      // The log is hard-full: "the pending parity updates must be applied
-      // immediately, interrupting foreground processing to do so." The
-      // write resumes as soon as a replay batch reclaims space.
-      ++hard_stalls_;
-      stalled_.push_back(StalledWrite{r.id, seg, join});
-    } else {
-      WriteSegment(r.id, seg, join);
-    }
+    RunSegmentWrite(request_id, seg, join);
   }
 }
 
@@ -175,8 +61,8 @@ void ParityLogController::UpdateContentForWrite(uint64_t request_id,
   content_->SetParityRange(seg.stripe, first, count, parity_scratch_.data());
 }
 
-void ParityLogController::WriteSegment(uint64_t request_id, const Segment& seg,
-                                       JoinBlock* join) {
+void ParityLogController::RunSegmentWrite(uint64_t request_id, const Segment& seg,
+                                          JoinBlock* join) {
   const int64_t stripe = seg.stripe;
   locks_.Acquire(stripe, LockMode::kExclusive, [this, request_id, seg, stripe,
                                                 join] {
@@ -197,11 +83,12 @@ void ParityLogController::WriteSegment(uint64_t request_id, const Segment& seg,
     // Read-modify-write on the data block only; the parity-update image
     // (old xor new) goes to the NVRAM log buffer instead of the parity disk.
     IssueDiskOp(dl.disk, off, seg.length, /*is_write=*/false,
-                [this, request_id, seg, join](bool) {
+                DiskOpPurpose::kOldDataRead, [this, request_id, seg, join](bool) {
                   const BlockLoc wl =
                       layout_->DataLocation(seg.stripe, seg.block_in_stripe);
                   const int64_t o = wl.byte_offset + seg.offset_in_block;
                   IssueDiskOp(wl.disk, o, seg.length, /*is_write=*/true,
+                              DiskOpPurpose::kClientWrite,
                               [this, request_id, seg, join](bool) {
                                 UpdateContentForWrite(request_id, seg);
                                 AppendImages(seg.length);
@@ -243,7 +130,7 @@ void ParityLogController::FlushBuffer() {
   const int64_t aligned = std::max<int64_t>(
       sector, (flush_bytes / sector) * sector);
   IssueDiskOp(disk, log_start + (offset_in_region / sector) * sector, aligned,
-              /*is_write=*/true, [](bool) {});
+              /*is_write=*/true, DiskOpPurpose::kParityWrite, [](bool) {});
   log_used_ += flush_bytes;
   // Background replay starts at the high-water mark, well before the log is
   // hard-full, so foreground writes rarely stall outright.
@@ -285,7 +172,7 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
       log_used_ = std::max<int64_t>(0, log_used_ - batch_bytes);
       runnable_scratch_.swap(stalled_);
       for (const StalledWrite& w : runnable_scratch_) {
-        WriteSegment(w.request_id, w.seg, w.join);
+        RunSegmentWrite(w.request_id, w.seg, w.join);
       }
       runnable_scratch_.clear();
       ReplayNextBatch(log_used_);
@@ -302,8 +189,9 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
         continue;
       }
       IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
-                  [this, pl, unit, join](bool) {
+                  DiskOpPurpose::kRebuildRead, [this, pl, unit, join](bool) {
                     IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
+                                DiskOpPurpose::kRebuildWrite,
                                 [join](bool) { join->Dec(true); });
                   });
     }
@@ -315,141 +203,34 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
                                ? (log_disk_cursor_ + 1) % cfg_.num_disks
                                : log_disk_cursor_;
   IssueDiskOp(log_disk, log_start, aligned, /*is_write=*/false,
-              std::move(after_log));
+              DiskOpPurpose::kRebuildRead, std::move(after_log));
 }
 
-// --- Failure machinery ------------------------------------------------------------
+// --- Reconstruction sweep step ----------------------------------------------------
 
-bool ParityLogController::FailDisk(int32_t disk) {
-  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
-      recovering_disk_ >= 0) {
-    return false;
-  }
-  failed_disk_ = disk;
-  disks_[static_cast<size_t>(disk)]->Fail();
-  return true;
-}
-
-bool ParityLogController::ReplaceDisk(int32_t disk) {
-  if (disk != failed_disk_ || disk < 0) {
-    return false;
-  }
-  disks_[static_cast<size_t>(disk)]->Replace();
-  failed_disk_ = -1;
-  recovering_disk_ = disk;
-  recovery_frontier_ = 0;
-  // The replacement mechanism is blank; model its contents as zeroes.
+void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target) {
+  const int32_t j_target = DataBlockOn(stripe, target);
+  // Logical recovery first, under the lock. Parity is always live (the
+  // images are durable), so both directions are exact: no loss mode.
   if (content_ != nullptr) {
-    for (int64_t s : content_->TouchedStripes()) {
-      for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-        if (layout_->DataDisk(s, j) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetData(s, j, i, 0);
-          }
-        }
-      }
-      if (layout_->ParityDisk(s) == disk) {
-        for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-          content_->SetParity(s, i, 0);
-        }
-      }
-    }
-  }
-  return true;
-}
-
-bool ParityLogController::StartReconstruction(std::function<void()> done) {
-  if (recovering_disk_ < 0 || reconstruction_active_) {
-    return false;
-  }
-  reconstruction_active_ = true;
-  reconstruction_done_ = std::move(done);
-  ReconstructNextStripe(0);
-  return true;
-}
-
-void ParityLogController::ReconstructNextStripe(int64_t stripe) {
-  // Declustered layouts leave some stripes entirely off the recovering disk;
-  // they need no sweep work (left-symmetric never skips: every stripe uses
-  // every disk).
-  while (stripe < layout_->num_stripes() &&
-         !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
-    ++stripe;
-  }
-  if (stripe >= layout_->num_stripes()) {
-    reconstruction_active_ = false;
-    recovering_disk_ = -1;
-    recovery_frontier_ = 0;
-    auto done = std::move(reconstruction_done_);
-    reconstruction_done_ = nullptr;
-    if (done) {
-      done();
-    }
-    return;
-  }
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe] {
-    const int32_t target = recovering_disk_;
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    int32_t j_target = -1;
-    for (int32_t j = 0; j < n; ++j) {
-      if (layout_->DataDisk(stripe, j) == target) {
-        j_target = j;
-        break;
-      }
-    }
-    const int64_t target_off =
-        j_target >= 0 ? layout_->DataLocation(stripe, j_target).byte_offset
-                      : pl.byte_offset;
-    // Logical recovery first, under the lock. Parity is always live (the
-    // images are durable), so both directions are exact: no loss mode.
-    if (content_ != nullptr) {
-      const int32_t spu = content_->sectors_per_unit();
-      if (j_target >= 0) {
-        for (int32_t s = 0; s < spu; ++s) {
-          content_->SetData(stripe, j_target, s,
-                            content_->ReconstructData(stripe, j_target, s));
-        }
-      } else {
-        parity_scratch_.resize(static_cast<size_t>(spu));
-        content_->XorOfDataAll(stripe, parity_scratch_.data());
-        content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
-      }
-    }
-    auto advance = [this, stripe](bool) {
-      ++stripes_rebuilt_;
-      recovery_frontier_ = stripe + 1;
-      locks_.Release(stripe, LockMode::kExclusive);
-      ReconstructNextStripe(stripe + 1);
-    };
-    auto write_phase = [this, unit, target, target_off, advance](bool) {
-      IssueDiskOp(target, target_off, unit, /*is_write=*/true,
-                  [advance](bool) mutable { advance(true); });
-    };
-    // n reads either way: n-1 survivors + parity for a data target, all n
-    // data blocks for a parity target.
-    JoinBlock* read_join = joins_.Make(n, std::move(write_phase));
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == j_target) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                  /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
-    }
+    const int32_t spu = content_->sectors_per_unit();
     if (j_target >= 0) {
-      IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
-                  [read_join](bool) { read_join->Dec(true); });
+      for (int32_t s = 0; s < spu; ++s) {
+        content_->SetData(stripe, j_target, s,
+                          content_->ReconstructData(stripe, j_target, s));
+      }
+    } else {
+      parity_scratch_.resize(static_cast<size_t>(spu));
+      content_->XorOfDataAll(stripe, parity_scratch_.data());
+      content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
     }
-  });
+  }
+  RebuildUnitFromPeers(stripe, target, j_target,
+                       [this, stripe](bool) { StripeReconstructed(stripe); });
 }
 
 SchemeState ParityLogController::State() const {
-  SchemeState st;
-  st.failed_disk = failed_disk_;
-  st.recovering_disk = recovering_disk_;
-  st.reconstruction_active = reconstruction_active_;
+  SchemeState st = ArrayEngine::State();
   st.rebuild_active = replaying_;
   st.dirty_marks = PendingImagesBytes();
   st.parity_lag_bytes = 0.0;  // Full redundancy at all times.
@@ -457,10 +238,9 @@ SchemeState ParityLogController::State() const {
 }
 
 SchemeStats ParityLogController::Stats() const {
-  SchemeStats s;
+  SchemeStats s = ArrayEngine::Stats();
   s.rebuild_passes = log_replays_;
-  s.stripes_rebuilt = stripes_rebuilt_;
-  s.disk_ops_total = disk_ops_;
+  s.stripes_rebuilt = stripes_reconstructed_;
   return s;
 }
 

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "array/decluster.h"
+#include "array/gf256.h"
 
 namespace afraid {
 
@@ -21,29 +21,15 @@ std::string Raid6ModeName(Raid6Mode mode) {
 }
 
 Raid6Controller::Raid6Controller(Simulator* sim, const ArrayConfig& config,
-                                 Raid6Mode mode)
-    : sim_(sim),
-      cfg_(config),
+                                 Raid6Mode mode, Probe probe)
+    : ArrayEngine(sim, config, MakeStripedLayout(config, /*parity_blocks=*/2),
+                  /*content_parity_slots=*/2, probe),
       mode_(mode),
-      layout_(MakeLayout(config.layout, config.num_disks,
-                         config.stripe_unit_bytes,
-                         DiskGeometry(config.disk_spec.zones, config.disk_spec.heads,
-                                      config.disk_spec.sector_bytes)
-                             .CapacityBytes(),
-                         /*parity_blocks=*/2, config.decluster_width)),
       p_stale_(layout_->num_stripes()),
       q_stale_(layout_->num_stripes()),
       q_only_stale_(sim->Now()),
       both_stale_(sim->Now()) {
   assert(cfg_.num_disks >= 4);
-  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
-    disks_.push_back(std::make_unique<DiskModel>(sim_, cfg_.disk_spec, d));
-  }
-  if (cfg_.track_content) {
-    content_ = std::make_unique<ContentModel>(
-        layout_->data_blocks_per_stripe(), /*parity_blocks=*/2,
-        static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
-  }
   idle_detector_ = std::make_unique<IdleDetector>(sim_, cfg_.idle_delay,
                                                   [this] { MaybeStartRebuild(); });
 }
@@ -102,163 +88,35 @@ void Raid6Controller::ClearStale(int64_t stripe) {
   UpdateExposure();
 }
 
-void Raid6Controller::IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length,
-                                  bool is_write, DiskDone done) {
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  assert(byte_offset % sector == 0 && length > 0 && length % sector == 0);
-  ++disk_ops_;
-  DiskOp op;
-  op.lba = byte_offset / sector;
-  op.sectors = static_cast<int32_t>(length / sector);
-  op.is_write = is_write;
-  disks_[static_cast<size_t>(disk)]->Submit(
-      op, [done = std::move(done)](const DiskOpResult& r) mutable { done(r.ok); });
-}
-
-void Raid6Controller::NoteClientStart() {
+void Raid6Controller::OnClientStart() {
   if (outstanding_clients_++ == 0) {
     idle_detector_->NoteBusy();
   }
 }
 
-void Raid6Controller::NoteClientEnd() {
+void Raid6Controller::OnClientEnd() {
   assert(outstanding_clients_ > 0);
   if (--outstanding_clients_ == 0) {
     idle_detector_->NoteIdle();
   }
 }
 
-void Raid6Controller::Submit(const ClientRequest& request, RequestDone done) {
-  assert(request.size > 0);
-  assert(request.offset >= 0 &&
-         request.offset + request.size <= layout_->data_capacity_bytes());
-  NoteClientStart();
-  // The request join folds NoteClientEnd in after `done` (same order the old
-  // wrapper ran them), sparing a second allocation-prone indirection.
-  if (request.is_write) {
-    DoWrite(request, std::move(done));
-  } else {
-    DoRead(request, std::move(done));
-  }
-}
-
-void Raid6Controller::DoRead(const ClientRequest& r, RequestDone done) {
-  // Planned requests carry their precompiled Split() (see array/plan.h).
-  Span<Segment> segs{r.plan_segs, r.plan_seg_count};
-  if (r.plan_segs == nullptr) {
-    layout_->SplitInto(r.offset, r.size, &read_split_scratch_);
-    segs = Span<Segment>{read_split_scratch_.data(),
-                         static_cast<int32_t>(read_split_scratch_.size())};
-  }
-  JoinBlock* join = joins_.Make(
-      segs.count,
-      [this, done = std::move(done)](bool) mutable {
-        done();
-        NoteClientEnd();
-      });
-  for (const Segment& seg : segs) {
-    const BlockLoc dl = layout_->DataLocation(seg.stripe, seg.block_in_stripe);
-    if (DiskUnavailable(dl.disk, seg.stripe)) {
-      DegradedReadSegment(seg, join);
-      continue;
-    }
-    IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block,
-                seg.length, /*is_write=*/false, [join](bool) { join->Dec(true); });
-  }
-}
-
-void Raid6Controller::DegradedReadSegment(const Segment& seg, JoinBlock* parent) {
-  locks_.Acquire(seg.stripe, LockMode::kExclusive, [this, seg, parent] {
-    const int64_t stripe = seg.stripe;
-    const BlockLoc target = layout_->DataLocation(stripe, seg.block_in_stripe);
-    if (!DiskUnavailable(target.disk, stripe)) {
-      // The reconstruction sweep passed this stripe while we waited on the
-      // lock: the block is valid again, plain read.
-      IssueDiskOp(target.disk, target.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, [this, stripe, parent](bool) {
-                    locks_.Release(stripe, LockMode::kExclusive);
-                    parent->Dec(true);
-                  });
-      return;
-    }
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const bool p_fresh = !p_stale_.IsDirty(stripe);
-    const bool q_fresh = !q_stale_.IsDirty(stripe);
-    // Reconstruct through P when it is live, through Q when only P is stale
-    // (same I/O count either way). With both stale the bytes returned are not
-    // what the client wrote; P is still read to model the attempt's traffic.
-    const int32_t parity_which = (p_fresh || !q_fresh) ? 0 : 1;
-    auto finish = [this, seg, stripe, p_fresh, q_fresh, parent](bool) {
-      if (!p_fresh && !q_fresh) {
-        RecordLoss(LossCause::kStaleParityDegradedRead, stripe, seg.length);
-      }
-      locks_.Release(stripe, LockMode::kExclusive);
-      parent->Dec(true);
-    };
-    JoinBlock* join = joins_.Make(n, finish);  // n-1 data reads + parity.
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == seg.block_in_stripe) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                  /*is_write=*/false, [join](bool) { join->Dec(true); });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe, parity_which);
-    IssueDiskOp(pl.disk, pl.byte_offset + seg.offset_in_block, seg.length,
-                /*is_write=*/false, [join](bool) { join->Dec(true); });
-  });
-}
-
-void Raid6Controller::DoWrite(const ClientRequest& r, RequestDone done) {
-  // Split emits segments with nondecreasing stripe numbers, so grouping by
-  // stripe is a contiguous-run scan -- same groups, same ascending dispatch
-  // order as the ordered-map grouping this replaces. The segments stay alive
-  // (spans point into them) until the request join fires: planned requests
-  // use the run-lifetime RequestPlan storage, unplanned ones a pooled vector
-  // owned by the join.
-  std::vector<Segment>* pooled = nullptr;
-  const Segment* base = r.plan_segs;
-  auto count = static_cast<size_t>(r.plan_seg_count);
-  if (base == nullptr) {
-    pooled = seg_pool_.Acquire();
-    layout_->SplitInto(r.offset, r.size, pooled);
-    base = pooled->data();
-    count = pooled->size();
-  }
-  int32_t n_groups = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (i == 0 || base[i].stripe != base[i - 1].stripe) {
-      ++n_groups;
-    }
-  }
-  JoinBlock* join =
-      joins_.Make(n_groups, [this, done = std::move(done), pooled](bool) mutable {
-        if (pooled != nullptr) {
-          seg_pool_.Release(pooled);
-        }
-        done();
-        NoteClientEnd();
-      });
-  const bool degraded = failed_disk_ >= 0 || recovering_disk_ >= 0;
-  size_t i = 0;
-  while (i < count) {
-    size_t j = i + 1;
-    while (j < count && base[j].stripe == base[i].stripe) {
-      ++j;
-    }
-    const Span<Segment> group{base + i, static_cast<int32_t>(j - i)};
-    if (degraded) {
-      DegradedWriteStripe(r.id, base[i].stripe, group, join);
-    } else {
-      WriteStripeGroup(r.id, base[i].stripe, group, join);
-    }
-    i = j;
-  }
+int32_t Raid6Controller::DegradedReadParity(int64_t stripe, bool* lost) const {
+  const bool p_fresh = !p_stale_.IsDirty(stripe);
+  const bool q_fresh = !q_stale_.IsDirty(stripe);
+  // Reconstruct through P when it is live, through Q when only P is stale
+  // (same I/O count either way). With both stale the bytes returned are not
+  // what the client wrote; P is still read to model the attempt's traffic.
+  *lost = !p_fresh && !q_fresh;
+  return (p_fresh || !q_fresh) ? 0 : 1;
 }
 
 void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
                                        Span<Segment> segs, JoinBlock* group_join) {
+  if (failed_disk_ >= 0 || recovering_disk_ >= 0) {
+    DegradedWriteStripe(request_id, stripe, segs, group_join);
+    return;
+  }
   if (mode_ == Raid6Mode::kSynchronous) {
     ++sync_mode_writes_;
   } else {
@@ -331,7 +189,8 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
       for (const Segment& seg : segs) {
         const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
         IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                    /*is_write=*/true, [this, request_id, seg, sector, join](bool ok) {
+                    /*is_write=*/true, DiskOpPurpose::kClientWrite,
+                    [this, request_id, seg, sector, join](bool ok) {
                       if (ok && content_ != nullptr) {
                         const int32_t first = seg.offset_in_block / sector;
                         const int32_t count = seg.length / sector;
@@ -348,7 +207,7 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
       if (update_p) {
         const BlockLoc pl = layout_->ParityLocation(stripe, 0);
         IssueDiskOp(pl.disk, pl.byte_offset + span_lo,
-                    span_hi - span_lo, /*is_write=*/true,
+                    span_hi - span_lo, /*is_write=*/true, DiskOpPurpose::kParityWrite,
                     [this, stripe, first_sector, dp, join](bool ok) {
                       if (ok && content_ != nullptr) {
                         for (size_t i = 0; i < dp->size(); ++i) {
@@ -364,7 +223,7 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
       if (update_q) {
         const BlockLoc ql = layout_->ParityLocation(stripe, 1);
         IssueDiskOp(ql.disk, ql.byte_offset + span_lo,
-                    span_hi - span_lo, /*is_write=*/true,
+                    span_hi - span_lo, /*is_write=*/true, DiskOpPurpose::kParityWrite,
                     [this, stripe, first_sector, dq, join](bool ok) {
                       if (ok && content_ != nullptr) {
                         for (size_t i = 0; i < dq->size(); ++i) {
@@ -413,19 +272,20 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
       for (const Segment& seg : segs) {
         const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
         IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                    /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
+                    /*is_write=*/false, DiskOpPurpose::kOldDataRead,
+                    [read_join](bool) { read_join->Dec(true); });
       }
     }
     if (update_p) {
       const BlockLoc pl = layout_->ParityLocation(stripe, 0);
       IssueDiskOp(pl.disk, pl.byte_offset + span_lo,
-                  span_hi - span_lo, /*is_write=*/false,
+                  span_hi - span_lo, /*is_write=*/false, DiskOpPurpose::kOldParityRead,
                   [read_join](bool) { read_join->Dec(true); });
     }
     if (update_q) {
       const BlockLoc ql = layout_->ParityLocation(stripe, 1);
       IssueDiskOp(ql.disk, ql.byte_offset + span_lo,
-                  span_hi - span_lo, /*is_write=*/false,
+                  span_hi - span_lo, /*is_write=*/false, DiskOpPurpose::kOldParityRead,
                   [read_join](bool) { read_join->Dec(true); });
     }
   });
@@ -494,8 +354,8 @@ void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
           });
       if (p_needed) {
         const BlockLoc pl = layout_->ParityLocation(stripe, 0);
-        IssueDiskOp(pl.disk, pl.byte_offset, unit,
-                    /*is_write=*/true, [this, stripe, join](bool ok) {
+        IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
+                    DiskOpPurpose::kRebuildWrite, [this, stripe, join](bool ok) {
                       if (ok && content_ != nullptr) {
                         const int32_t spu = content_->sectors_per_unit();
                         parity_scratch_.resize(static_cast<size_t>(spu));
@@ -507,8 +367,8 @@ void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
                     });
       }
       const BlockLoc ql = layout_->ParityLocation(stripe, 1);
-      IssueDiskOp(ql.disk, ql.byte_offset, unit,
-                  /*is_write=*/true, [this, stripe, n, join](bool ok) {
+      IssueDiskOp(ql.disk, ql.byte_offset, unit, /*is_write=*/true,
+                  DiskOpPurpose::kRebuildWrite, [this, stripe, n, join](bool ok) {
                     if (ok && content_ != nullptr) {
                       for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
                         content_->SetParity(stripe, s,
@@ -522,8 +382,8 @@ void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
     JoinBlock* read_join = joins_.Make(n, writes);
     for (int32_t j = 0; j < n; ++j) {
       const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                  /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
+      IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
+                  DiskOpPurpose::kRebuildRead, [read_join](bool) { read_join->Dec(true); });
     }
   });
 }
@@ -540,7 +400,7 @@ void Raid6Controller::RebuildAll(std::function<void()> done) {
   }
 }
 
-// --- Failure machinery ------------------------------------------------------------
+// --- Degraded writes and the sweep step -------------------------------------------
 
 void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
                                           Span<Segment> segs,
@@ -643,15 +503,16 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
           continue;
         }
         IssueDiskOp(dl.disk, dl.byte_offset + seg.offset_in_block, seg.length,
-                    /*is_write=*/true, [join](bool) { join->Dec(true); });
+                    /*is_write=*/true, DiskOpPurpose::kClientWrite,
+                    [join](bool) { join->Dec(true); });
       }
       if (p_avail) {
         IssueDiskOp(p_loc.disk, p_loc.byte_offset, unit, /*is_write=*/true,
-                    [join](bool) { join->Dec(true); });
+                    DiskOpPurpose::kParityWrite, [join](bool) { join->Dec(true); });
       }
       if (q_avail) {
         IssueDiskOp(q_loc.disk, q_loc.byte_offset, unit, /*is_write=*/true,
-                    [join](bool) { join->Dec(true); });
+                    DiskOpPurpose::kParityWrite, [join](bool) { join->Dec(true); });
       }
     };
     if (reads == 0) {
@@ -668,224 +529,131 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
         continue;
       }
       IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
+                  DiskOpPurpose::kReconstructRead,
                   [read_join](bool) { read_join->Dec(true); });
     }
   });
 }
 
-bool Raid6Controller::FailDisk(int32_t disk) {
-  if (disk < 0 || disk >= cfg_.num_disks || failed_disk_ >= 0 ||
-      recovering_disk_ >= 0) {
-    return false;
+void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target) {
+  const int32_t n = layout_->data_blocks_per_stripe();
+  const int64_t unit = layout_->stripe_unit();
+  const int32_t j_target = DataBlockOn(stripe, target);
+  int32_t parity_target = -1;
+  for (int32_t w = 0; w < 2; ++w) {
+    if (layout_->ParityDisk(stripe, w) == target) {
+      parity_target = w;
+      break;
+    }
   }
-  failed_disk_ = disk;
-  disks_[static_cast<size_t>(disk)]->Fail();
-  return true;
-}
+  assert((j_target >= 0) != (parity_target >= 0));
+  const bool p_stale = p_stale_.IsDirty(stripe);
+  const bool q_stale = q_stale_.IsDirty(stripe);
+  // The sweep leaves every stripe behind the frontier fully redundant: it
+  // rewrites the replaced disk's block plus any parity that was stale.
+  const bool write_p = parity_target == 0 || p_stale;
+  const bool write_q = parity_target == 1 || q_stale;
 
-bool Raid6Controller::ReplaceDisk(int32_t disk) {
-  if (disk != failed_disk_ || disk < 0) {
-    return false;
+  if (j_target >= 0 && p_stale && q_stale) {
+    // Both parities were stale when the disk died: nothing vouches for the
+    // lost block. What lands on the replacement is the xor of the
+    // survivors against the stale P (the Section 3.2 small-loss mode).
+    RecordLoss(LossCause::kStaleParityReconstruction, stripe, unit);
   }
-  disks_[static_cast<size_t>(disk)]->Replace();
-  failed_disk_ = -1;
-  recovering_disk_ = disk;
-  recovery_frontier_ = 0;
-  // The replacement mechanism is blank; model its contents as zeroes.
+
+  // Logical recovery first, under the lock, in dependency order: the data
+  // block from a live parity, then the parities from the data.
   if (content_ != nullptr) {
-    for (int64_t s : content_->TouchedStripes()) {
-      for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-        if (layout_->DataDisk(s, j) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetData(s, j, i, 0);
-          }
-        }
-      }
-      for (int32_t w = 0; w < 2; ++w) {
-        if (layout_->ParityDisk(s, w) == disk) {
-          for (int32_t i = 0; i < content_->sectors_per_unit(); ++i) {
-            content_->SetParity(s, i, 0, w);
-          }
-        }
-      }
-    }
-  }
-  return true;
-}
-
-bool Raid6Controller::StartReconstruction(std::function<void()> done) {
-  if (recovering_disk_ < 0 || reconstruction_active_) {
-    return false;
-  }
-  reconstruction_active_ = true;
-  reconstruction_done_ = std::move(done);
-  ReconstructNextStripe(0);
-  return true;
-}
-
-void Raid6Controller::ReconstructNextStripe(int64_t stripe) {
-  // Declustered layouts: stripes without a unit on the replaced disk need no
-  // work and do not count as rebuilt. Left-symmetric layouts never skip.
-  while (stripe < layout_->num_stripes() &&
-         !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
-    ++stripe;
-  }
-  if (stripe >= layout_->num_stripes()) {
-    reconstruction_active_ = false;
-    recovering_disk_ = -1;
-    recovery_frontier_ = 0;
-    auto done = std::move(reconstruction_done_);
-    reconstruction_done_ = nullptr;
-    if (done) {
-      done();
-    }
-    // Deferred-parity work that queued up behind the sweep may resume.
-    MaybeStartRebuild();
-    return;
-  }
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe] {
-    const int32_t target = recovering_disk_;
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    int32_t j_target = -1;
-    for (int32_t j = 0; j < n; ++j) {
-      if (layout_->DataDisk(stripe, j) == target) {
-        j_target = j;
-        break;
-      }
-    }
-    int32_t parity_target = -1;
-    for (int32_t w = 0; w < 2; ++w) {
-      if (layout_->ParityDisk(stripe, w) == target) {
-        parity_target = w;
-        break;
-      }
-    }
-    assert((j_target >= 0) != (parity_target >= 0));
-    const bool p_stale = p_stale_.IsDirty(stripe);
-    const bool q_stale = q_stale_.IsDirty(stripe);
-    // The sweep leaves every stripe behind the frontier fully redundant: it
-    // rewrites the replaced disk's block plus any parity that was stale.
-    const bool write_p = parity_target == 0 || p_stale;
-    const bool write_q = parity_target == 1 || q_stale;
-
-    if (j_target >= 0 && p_stale && q_stale) {
-      // Both parities were stale when the disk died: nothing vouches for the
-      // lost block. What lands on the replacement is the xor of the
-      // survivors against the stale P (the Section 3.2 small-loss mode).
-      RecordLoss(LossCause::kStaleParityReconstruction, stripe, unit);
-    }
-
-    // Logical recovery first, under the lock, in dependency order: the data
-    // block from a live parity, then the parities from the data.
-    if (content_ != nullptr) {
-      const int32_t spu = content_->sectors_per_unit();
-      if (j_target >= 0) {
-        if (p_stale && !q_stale) {
-          // Only Q is live: D_j = g^-j (Q ^ sum_{i != j} g^i D_i).
-          const uint8_t inv = Gf256::Inv(Gf256::Pow2(j_target));
-          for (int32_t s = 0; s < spu; ++s) {
-            uint64_t acc = content_->GetParity(stripe, s, 1);
-            for (int32_t i = 0; i < n; ++i) {
-              if (i == j_target) {
-                continue;
-              }
-              acc ^= Gf256::MulWord(content_->GetData(stripe, i, s),
-                                    Gf256::Pow2(i));
-            }
-            content_->SetData(stripe, j_target, s, Gf256::MulWord(acc, inv));
-          }
-        } else {
-          for (int32_t s = 0; s < spu; ++s) {
-            content_->SetData(stripe, j_target, s,
-                              content_->ReconstructData(stripe, j_target, s));
-          }
-        }
-      }
-      if (write_p) {
-        parity_scratch_.resize(static_cast<size_t>(spu));
-        content_->XorOfDataAll(stripe, parity_scratch_.data());
-        content_->SetParityRange(stripe, 0, spu, parity_scratch_.data(), 0);
-      }
-      if (write_q) {
-        for (int32_t s = 0; s < spu; ++s) {
-          content_->SetParity(stripe, s, QOfData(*content_, stripe, n, s), 1);
-        }
-      }
-    }
-
-    auto advance = [this, stripe, write_p, write_q](bool) {
-      if (write_p) {
-        p_stale_.Clear(stripe);
-      }
-      if (write_q) {
-        q_stale_.Clear(stripe);
-      }
-      UpdateExposure();
-      ++stripes_rebuilt_;
-      recovery_frontier_ = stripe + 1;
-      locks_.Release(stripe, LockMode::kExclusive);
-      ReconstructNextStripe(stripe + 1);
-    };
-
-    // Timing: n reads either way (n-1 survivors + a live parity for a data
-    // target; all n data blocks for a parity target), then the target write
-    // plus any refreshed parity.
-    const int32_t writes =
-        (j_target >= 0 ? 1 : 0) + (write_p ? 1 : 0) + (write_q ? 1 : 0);
-    const int64_t target_off =
-        j_target >= 0 ? layout_->DataLocation(stripe, j_target).byte_offset : 0;
-    auto write_phase = [this, stripe, unit, target, target_off, j_target,
-                        write_p, write_q, writes, advance](bool) {
-      JoinBlock* join = joins_.Make(writes, advance);
-      if (j_target >= 0) {
-        IssueDiskOp(target, target_off, unit, /*is_write=*/true,
-                    [join](bool) { join->Dec(true); });
-      }
-      if (write_p) {
-        const BlockLoc pl = layout_->ParityLocation(stripe, 0);
-        IssueDiskOp(pl.disk, pl.byte_offset, unit,
-                    /*is_write=*/true, [join](bool) { join->Dec(true); });
-      }
-      if (write_q) {
-        const BlockLoc ql = layout_->ParityLocation(stripe, 1);
-        IssueDiskOp(ql.disk, ql.byte_offset, unit,
-                    /*is_write=*/true, [join](bool) { join->Dec(true); });
-      }
-    };
-    JoinBlock* read_join = joins_.Make(n, std::move(write_phase));
+    const int32_t spu = content_->sectors_per_unit();
     if (j_target >= 0) {
-      for (int32_t j = 0; j < n; ++j) {
-        if (j == j_target) {
-          continue;
+      if (p_stale && !q_stale) {
+        // Only Q is live: D_j = g^-j (Q ^ sum_{i != j} g^i D_i).
+        const uint8_t inv = Gf256::Inv(Gf256::Pow2(j_target));
+        for (int32_t s = 0; s < spu; ++s) {
+          uint64_t acc = content_->GetParity(stripe, s, 1);
+          for (int32_t i = 0; i < n; ++i) {
+            if (i == j_target) {
+              continue;
+            }
+            acc ^= Gf256::MulWord(content_->GetData(stripe, i, s),
+                                  Gf256::Pow2(i));
+          }
+          content_->SetData(stripe, j_target, s, Gf256::MulWord(acc, inv));
         }
-        const BlockLoc dl = layout_->DataLocation(stripe, j);
-        IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                    /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
-      }
-      const BlockLoc pl = layout_->ParityLocation(stripe, (!p_stale || q_stale) ? 0 : 1);
-      IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
-                  [read_join](bool) { read_join->Dec(true); });
-    } else {
-      for (int32_t j = 0; j < n; ++j) {
-        const BlockLoc dl = layout_->DataLocation(stripe, j);
-        IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                    /*is_write=*/false, [read_join](bool) { read_join->Dec(true); });
+      } else {
+        for (int32_t s = 0; s < spu; ++s) {
+          content_->SetData(stripe, j_target, s,
+                            content_->ReconstructData(stripe, j_target, s));
+        }
       }
     }
-  });
-}
+    if (write_p) {
+      parity_scratch_.resize(static_cast<size_t>(spu));
+      content_->XorOfDataAll(stripe, parity_scratch_.data());
+      content_->SetParityRange(stripe, 0, spu, parity_scratch_.data(), 0);
+    }
+    if (write_q) {
+      for (int32_t s = 0; s < spu; ++s) {
+        content_->SetParity(stripe, s, QOfData(*content_, stripe, n, s), 1);
+      }
+    }
+  }
 
-void Raid6Controller::RecordLoss(LossCause cause, int64_t stripe, int64_t bytes) {
-  ++loss_events_;
-  bytes_lost_ += bytes;
-  if (loss_listener_) {
-    LossEvent ev;
-    ev.time = sim_->Now();
-    ev.cause = cause;
-    ev.stripe = stripe;
-    ev.bytes = bytes;
-    loss_listener_(ev);
+  auto advance = [this, stripe, write_p, write_q](bool) {
+    if (write_p) {
+      p_stale_.Clear(stripe);
+    }
+    if (write_q) {
+      q_stale_.Clear(stripe);
+    }
+    UpdateExposure();
+    StripeReconstructed(stripe);
+  };
+
+  // Timing: n reads either way (n-1 survivors + a live parity for a data
+  // target; all n data blocks for a parity target), then the target write
+  // plus any refreshed parity.
+  const int32_t writes =
+      (j_target >= 0 ? 1 : 0) + (write_p ? 1 : 0) + (write_q ? 1 : 0);
+  const int64_t target_off =
+      j_target >= 0 ? layout_->DataLocation(stripe, j_target).byte_offset : 0;
+  auto write_phase = [this, stripe, unit, target, target_off, j_target,
+                      write_p, write_q, writes, advance](bool) {
+    JoinBlock* join = joins_.Make(writes, advance);
+    if (j_target >= 0) {
+      IssueDiskOp(target, target_off, unit, /*is_write=*/true,
+                  DiskOpPurpose::kRecoveryWrite, [join](bool) { join->Dec(true); });
+    }
+    if (write_p) {
+      const BlockLoc pl = layout_->ParityLocation(stripe, 0);
+      IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
+                  DiskOpPurpose::kRecoveryWrite, [join](bool) { join->Dec(true); });
+    }
+    if (write_q) {
+      const BlockLoc ql = layout_->ParityLocation(stripe, 1);
+      IssueDiskOp(ql.disk, ql.byte_offset, unit, /*is_write=*/true,
+                  DiskOpPurpose::kRecoveryWrite, [join](bool) { join->Dec(true); });
+    }
+  };
+  JoinBlock* read_join = joins_.Make(n, std::move(write_phase));
+  if (j_target >= 0) {
+    for (int32_t j = 0; j < n; ++j) {
+      if (j == j_target) {
+        continue;
+      }
+      const BlockLoc dl = layout_->DataLocation(stripe, j);
+      IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
+                  DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
+    }
+    const BlockLoc pl = layout_->ParityLocation(stripe, (!p_stale || q_stale) ? 0 : 1);
+    IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
+                DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
+  } else {
+    for (int32_t j = 0; j < n; ++j) {
+      const BlockLoc dl = layout_->DataLocation(stripe, j);
+      IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
+                  DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
+    }
   }
 }
 
@@ -904,30 +672,21 @@ const char* Raid6Controller::SchemeName() const {
 }
 
 SchemeState Raid6Controller::State() const {
-  SchemeState st;
-  st.failed_disk = failed_disk_;
-  st.recovering_disk = recovering_disk_;
-  st.reconstruction_active = reconstruction_active_;
+  SchemeState st = ArrayEngine::State();
   st.rebuild_active = rebuilding_;
   st.dirty_marks = StaleP() + StaleQ();
   st.parity_lag_bytes = both_stale_.Current();
-  st.last_write_raid5 = false;
-  st.loss_events = loss_events_;
-  st.bytes_lost = bytes_lost_;
   return st;
 }
 
 SchemeStats Raid6Controller::Stats() const {
-  SchemeStats s;
+  SchemeStats s = ArrayEngine::Stats();
   s.mean_parity_lag_bytes = MeanFullyExposedBytes();
   s.t_unprot_fraction = TBothStaleFraction();
   s.max_dirty_stripes = max_stale_stripes_;
-  s.stripes_rebuilt = stripes_rebuilt_;
+  s.stripes_rebuilt = StripesRebuilt();
   s.afraid_mode_writes = deferred_mode_writes_;
   s.raid5_mode_writes = sync_mode_writes_;
-  s.disk_ops_total = disk_ops_;
-  s.loss_events = loss_events_;
-  s.bytes_lost = bytes_lost_;
   return s;
 }
 

@@ -19,35 +19,24 @@
 // Q = sum_j g^j D_j (see array/gf256.h). Per-stripe staleness is tracked in
 // two NVRAM bitmaps (2 bits per stripe, vs AFRAID's 1).
 //
-// Failure machinery (ArrayScheme): single-disk failure with degraded reads
-// (reconstruct through P when fresh, through Q when only P is stale),
-// degraded writes that switch to synchronous full-stripe parity recompute,
-// and a replacement-disk reconstruction sweep that recomputes the target
-// from P, Q, or the surviving data as the stripe's layout dictates. A stripe
-// whose P *and* Q were both stale when the disk died is unrecoverable; the
-// machinery charges a LossEvent exactly as the AFRAID controller does.
+// Failure handling on top of the engine (array/array_engine.h): degraded
+// reads reconstruct through P when fresh, through Q when only P is stale;
+// degraded writes switch to synchronous full-stripe parity recompute; the
+// sweep step recomputes the target from P, Q, or the surviving data as the
+// stripe's layout dictates. A stripe whose P *and* Q were both stale when
+// the disk died is unrecoverable and is charged as a LossEvent.
 
 #ifndef AFRAID_CORE_RAID6_CONTROLLER_H_
 #define AFRAID_CORE_RAID6_CONTROLLER_H_
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <memory>
-#include <vector>
+#include <string>
 
-#include "array/content.h"
-#include "array/controller.h"
-#include "array/scheme.h"
-#include "array/gf256.h"
+#include "array/array_engine.h"
 #include "array/idle_detector.h"
-#include "array/layout.h"
 #include "array/nvram.h"
-#include "array/stripe_lock.h"
-#include "core/array_config.h"
-#include "disk/disk_model.h"
-#include "sim/arena.h"
-#include "sim/simulator.h"
 #include "stats/time_weighted.h"
 
 namespace afraid {
@@ -60,13 +49,11 @@ enum class Raid6Mode {
 
 std::string Raid6ModeName(Raid6Mode mode);
 
-class Raid6Controller : public ArrayScheme {
+class Raid6Controller : public ArrayEngine {
  public:
-  Raid6Controller(Simulator* sim, const ArrayConfig& config, Raid6Mode mode);
+  Raid6Controller(Simulator* sim, const ArrayConfig& config, Raid6Mode mode,
+                  Probe probe = {});
   ~Raid6Controller() override;
-
-  void Submit(const ClientRequest& request, RequestDone done) override;
-  int64_t DataCapacityBytes() const override { return layout_->data_capacity_bytes(); }
 
   // Forces both parities of every stale stripe fresh; for tests/quiesce.
   void RebuildAll(std::function<void()> done);
@@ -74,29 +61,15 @@ class Raid6Controller : public ArrayScheme {
   // --- ArrayScheme interface ---
   const char* SchemeName() const override;
   std::string PolicyLabel() const override { return Raid6ModeName(mode_); }
-  int32_t num_disks() const override { return cfg_.num_disks; }
-  DiskModel& disk(int32_t d) override { return *disks_[d]; }
-  bool FailDisk(int32_t disk) override;
-  bool ReplaceDisk(int32_t disk) override;
-  bool StartReconstruction(std::function<void()> done) override;
   SchemeState State() const override;
   SchemeStats Stats() const override;
-  void SetLossListener(LossListener listener) override {
-    loss_listener_ = std::move(listener);
-  }
 
   // --- Introspection ---
-  const ArrayLayout& layout() const override { return *layout_; }
-  const ContentModel* content() const override { return content_.get(); }
   Raid6Mode mode() const { return mode_; }
-  int32_t failed_disk() const { return failed_disk_; }
-  int32_t recovering_disk() const { return recovering_disk_; }
-  uint64_t LossEvents() const { return loss_events_; }
-  int64_t BytesLost() const { return bytes_lost_; }
   int64_t StaleP() const { return p_stale_.DirtyCount(); }
   int64_t StaleQ() const { return q_stale_.DirtyCount(); }
-  uint64_t StripesRebuilt() const { return stripes_rebuilt_; }
-  uint64_t DiskOpsIssued() const { return disk_ops_; }
+  // Background P+Q refreshes plus stripes restored by reconstruction sweeps.
+  uint64_t StripesRebuilt() const { return stripes_rebuilt_ + stripes_reconstructed_; }
   // Time-average bytes covered by fewer than 2 / fewer than 1 parities.
   double MeanSingleExposedBytes() const { return q_only_stale_.MeanTo(sim_->Now()); }
   double MeanFullyExposedBytes() const { return both_stale_.MeanTo(sim_->Now()); }
@@ -111,74 +84,42 @@ class Raid6Controller : public ArrayScheme {
                           int32_t data_blocks, int32_t sector);
 
  private:
-  void DoRead(const ClientRequest& r, RequestDone done);
-  void DoWrite(const ClientRequest& r, RequestDone done);
+  // --- Engine hooks ---
+  void OnClientStart() override;
+  void OnClientEnd() override;
+  // The mode's write path; DegradedWriteStripe while a disk is out.
   void WriteStripeGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
-                        JoinBlock* group_join);
-  // Degraded path: reconstructs one read segment from the surviving blocks
-  // and a live parity; runs `parent->Dec(true)` on completion.
-  void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
+                        JoinBlock* group_join) override;
+  // P when it is live, Q when only P is stale; lost when both are stale.
+  int32_t DegradedReadParity(int64_t stripe, bool* lost) const override;
+  void ReconstructStripe(int64_t stripe, int32_t target) override;
+  void OnReconstructionDone() override { MaybeStartRebuild(); }
+
   // Degraded write: synchronous full-stripe P+Q recompute around the
   // unavailable disk (the RAID 6 analogue of AFRAID's forced RAID 5 mode).
   void DegradedWriteStripe(uint64_t request_id, int64_t stripe,
                            Span<Segment> segs, JoinBlock* group_join);
-  void ReconstructNextStripe(int64_t stripe);
-  // True when `disk` cannot serve valid data for `stripe` right now.
-  bool DiskUnavailable(int32_t disk, int64_t stripe) const {
-    return disk == failed_disk_ ||
-           (disk == recovering_disk_ && stripe >= recovery_frontier_);
-  }
-  void RecordLoss(LossCause cause, int64_t stripe, int64_t bytes);
   void MaybeStartRebuild();
   void RebuildNext();
   void RebuildStripe(int64_t stripe, JoinBlock* step_join);
-  void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
-                   DiskDone done);
   void MarkStale(int64_t stripe, bool p, bool q);
   void ClearStale(int64_t stripe);
   void UpdateExposure();
-  void NoteClientStart();
-  void NoteClientEnd();
 
-  Simulator* sim_;
-  ArrayConfig cfg_;
   Raid6Mode mode_;
-  std::vector<std::unique_ptr<DiskModel>> disks_;
-  std::unique_ptr<ArrayLayout> layout_;
-  StripeLockTable locks_;
   NvramBitmap p_stale_;
   NvramBitmap q_stale_;
-  std::unique_ptr<ContentModel> content_;
   std::unique_ptr<IdleDetector> idle_detector_;
-
-  // Steady-state pooled storage (see DESIGN.md, "Arena reuse contract"):
-  // write splits live in a seg_pool_ vector owned by the request's join;
-  // dp/dq parity deltas live in u64_pool_ vectors until the write join fires.
-  JoinPool joins_;
-  VecPool<Segment> seg_pool_;
-  VecPool<uint64_t> u64_pool_;
-  std::vector<Segment> read_split_scratch_;  // DoRead (synchronous).
-  std::vector<uint64_t> parity_scratch_;     // Batched parity recompute.
 
   int32_t outstanding_clients_ = 0;
   bool rebuilding_ = false;
   int64_t max_stale_stripes_ = 0;
   int64_t rebuild_cursor_ = 0;
-  uint64_t stripes_rebuilt_ = 0;
-  uint64_t disk_ops_ = 0;
+  uint64_t stripes_rebuilt_ = 0;  // Background P+Q refreshes.
   std::function<void()> drain_done_;
 
-  // Failure machinery (mirrors the AfraidController state machine).
-  int32_t failed_disk_ = -1;
-  int32_t recovering_disk_ = -1;
-  int64_t recovery_frontier_ = 0;
-  bool reconstruction_active_ = false;
-  std::function<void()> reconstruction_done_;
   uint64_t deferred_mode_writes_ = 0;  // Stripe writes with deferred parity.
   uint64_t sync_mode_writes_ = 0;      // Stripe writes with in-path parity.
-  uint64_t loss_events_ = 0;
-  int64_t bytes_lost_ = 0;
-  LossListener loss_listener_;
 
   TimeWeightedValue q_only_stale_;  // Bytes protected by P only.
   TimeWeightedValue both_stale_;    // Bytes with no live parity.

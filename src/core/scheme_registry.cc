@@ -2,28 +2,21 @@
 
 #include <utility>
 
-#include "array/decluster.h"
+#include "array/array_engine.h"
 #include "array/layout.h"
 #include "core/afraid_controller.h"
 #include "core/mirror_controller.h"
 #include "core/parity_log_controller.h"
 #include "core/raid6_controller.h"
-#include "disk/geometry.h"
 
 namespace afraid {
 namespace {
 
-int64_t DiskCapacityBytes(const ArrayConfig& cfg) {
-  return DiskGeometry(cfg.disk_spec.zones, cfg.disk_spec.heads,
-                      cfg.disk_spec.sector_bytes)
-      .CapacityBytes();
-}
-
-int64_t ParityCapacity(const ArrayConfig& cfg, int32_t parity_blocks) {
+int64_t ParityCapacity(const ArrayConfig& cfg, int32_t parity_blocks,
+                       int64_t reserved_bytes = 0) {
   // Capacity depends on the configured layout: a declustered design exports
   // k-parity data blocks per stripe instead of C-parity.
-  return MakeLayout(cfg.layout, cfg.num_disks, cfg.stripe_unit_bytes,
-                    DiskCapacityBytes(cfg), parity_blocks, cfg.decluster_width)
+  return ArrayEngine::MakeStripedLayout(cfg, parity_blocks, reserved_bytes)
       ->data_capacity_bytes();
 }
 
@@ -40,7 +33,7 @@ SchemeInfo MakeRaid6Info(const char* name, const char* description,
   info.parity_blocks = 2;
   info.avail_scheme = RedundancyScheme::kRaid5;
   info.create = [mode](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
-    return std::make_unique<Raid6Controller>(ctx.sim, ctx.config, mode);
+    return std::make_unique<Raid6Controller>(ctx.sim, ctx.config, mode, ctx.probe);
   };
   info.data_capacity = [](const ArrayConfig& cfg) { return ParityCapacity(cfg, 2); };
   return info;
@@ -84,16 +77,12 @@ std::vector<SchemeInfo> BuiltIns() {
     info.avail_scheme = RedundancyScheme::kRaid5;
     info.create = [](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
       return std::make_unique<ParityLogController>(ctx.sim, ctx.config,
-                                                   ParityLogConfig{});
+                                                   ParityLogConfig{}, ctx.probe);
     };
     info.data_capacity = [](const ArrayConfig& cfg) {
       // The log region at the end of each disk is not client-visible.
-      const int64_t cap = DiskCapacityBytes(cfg);
-      const int64_t usable =
-          cap - ParityLogConfig{}.FittedTo(cap).log_region_bytes;
-      return MakeLayout(cfg.layout, cfg.num_disks, cfg.stripe_unit_bytes,
-                        usable, 1, cfg.decluster_width)
-          ->data_capacity_bytes();
+      const int64_t cap = ArrayEngine::DiskCapacityBytes(cfg);
+      return ParityCapacity(cfg, 1, ParityLogConfig{}.FittedTo(cap).log_region_bytes);
     };
     schemes.push_back(std::move(info));
   }
@@ -106,14 +95,14 @@ std::vector<SchemeInfo> BuiltIns() {
     info.requires_even_disks = true;
     info.avail_scheme = RedundancyScheme::kRaid5;
     info.create = [](const SchemeContext& ctx) -> std::unique_ptr<ArrayScheme> {
-      return std::make_unique<MirrorController>(ctx.sim, ctx.config);
+      return std::make_unique<MirrorController>(ctx.sim, ctx.config, ctx.probe);
     };
     info.data_capacity = [](const ArrayConfig& cfg) {
       // Mirroring stripes plainly over the columns; parity declustering does
       // not apply (there is no parity to decluster), so the layout knob is
       // ignored here.
       return StripeLayout(EvenDisks(cfg.num_disks) / 2, cfg.stripe_unit_bytes,
-                          DiskCapacityBytes(cfg), 0)
+                          ArrayEngine::DiskCapacityBytes(cfg), 0)
           .data_capacity_bytes();
     };
     schemes.push_back(std::move(info));

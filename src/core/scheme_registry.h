@@ -32,7 +32,8 @@
 namespace afraid {
 
 // Everything a scheme factory may need. Factories ignore fields that do not
-// apply to them (only "afraid" consults `policy`, `avail` and `probe`).
+// apply to them (only "afraid" consults `policy` and `avail`; every scheme
+// traces through `probe`).
 struct SchemeContext {
   Simulator* sim = nullptr;
   ArrayConfig config;

@@ -138,7 +138,7 @@ TEST_F(Raid6Rig, SynchronousSmallWriteCostsSixIos) {
   Build(Raid6Mode::kSynchronous);
   Op(0, 8192, true);
   // Old data + old P + old Q + data + P + Q.
-  EXPECT_EQ(ctl_->DiskOpsIssued(), 6u);
+  EXPECT_EQ(ctl_->TotalDiskOps(), 6u);
   EXPECT_EQ(ctl_->StaleP(), 0);
   EXPECT_EQ(ctl_->StaleQ(), 0);
   EXPECT_TRUE(ctl_->StripeFullyConsistent(0));
@@ -150,7 +150,7 @@ TEST_F(Raid6Rig, DeferQSmallWriteCostsFourIos) {
   while (!driver_->Drained()) {
     sim_.Step();
   }
-  EXPECT_EQ(ctl_->DiskOpsIssued(), 4u);  // Old data + old P + data + P.
+  EXPECT_EQ(ctl_->TotalDiskOps(), 4u);  // Old data + old P + data + P.
   EXPECT_EQ(ctl_->StaleP(), 0);
   EXPECT_EQ(ctl_->StaleQ(), 1);  // Partial protection immediately.
   EXPECT_FALSE(ctl_->StripeFullyConsistent(0));
@@ -165,7 +165,7 @@ TEST_F(Raid6Rig, DeferBothSmallWriteCostsOneIo) {
   while (!driver_->Drained()) {
     sim_.Step();
   }
-  EXPECT_EQ(ctl_->DiskOpsIssued(), 1u);
+  EXPECT_EQ(ctl_->TotalDiskOps(), 1u);
   EXPECT_EQ(ctl_->StaleP(), 1);
   EXPECT_EQ(ctl_->StaleQ(), 1);
   sim_.RunToEnd();
@@ -194,7 +194,7 @@ TEST_F(Raid6Rig, WriteLatencyAndThroughputOrderingAcrossModes) {
         sim.Step();
       }
       lone_ms[i] = driver.AllLatencies().Mean();
-      lone_ops[i] = ctl.DiskOpsIssued();
+      lone_ops[i] = ctl.TotalDiskOps();
     }
     {
       // A 40-write burst: the extra parity traffic of the synchronous modes

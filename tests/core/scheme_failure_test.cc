@@ -2,8 +2,9 @@
 // ArrayScheme interface alone: seed known content, quiesce, fail a data
 // disk, serve degraded reads and writes, replace the disk, run the
 // reconstruction sweep with no concurrent traffic, and check every
-// reconstructed sector against the functional ContentModel. A scheme added
-// to the registry is picked up automatically.
+// reconstructed sector against the functional ContentModel, the sweep's
+// stripe count and the trace tracks every scheme records. A scheme added to
+// the registry is picked up automatically.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include "array/scheme.h"
 #include "core/experiment.h"
 #include "core/scheme_registry.h"
+#include "obs/probe.h"
+#include "obs/tracer.h"
 #include "sim/simulator.h"
 
 namespace afraid {
@@ -48,7 +51,7 @@ class SchemeFailureTest : public ::testing::TestWithParam<std::string> {
     }
     cfg_ = SchemeRegistry::Normalize(scheme_, base);
     SchemeContext ctx{&sim_, cfg_, PolicySpec::AfraidBaseline(),
-                      AvailabilityParamsFor(cfg_), {}};
+                      AvailabilityParamsFor(cfg_), Probe(&tracer_)};
     ctl_ = SchemeRegistry::Create(scheme_, ctx);
     ASSERT_NE(ctl_, nullptr);
     if (base.layout == LayoutKind::kDeclustered) {
@@ -85,9 +88,23 @@ class SchemeFailureTest : public ::testing::TestWithParam<std::string> {
     }
   }
 
+  // Events on the named track with the given phase (and name, if non-empty).
+  int64_t CountEvents(const std::string& track, char phase,
+                      const std::string& name = "") const {
+    int64_t n = 0;
+    for (const TraceEvent& ev : tracer_.events()) {
+      if (tracer_.tracks()[static_cast<size_t>(ev.track)] == track &&
+          ev.phase == phase && (name.empty() || ev.name == name)) {
+        ++n;
+      }
+    }
+    return n;
+  }
+
   std::string scheme_;  // Registry name, layout suffix stripped.
   ArrayConfig cfg_;
   Simulator sim_;
+  Tracer tracer_;
   std::unique_ptr<ArrayScheme> ctl_;
   std::unique_ptr<HostDriver> driver_;
 };
@@ -101,6 +118,9 @@ TEST_P(SchemeFailureTest, FailDegradedRepairReconstructRoundTrip) {
     const int64_t offset = i * 4 * kBlock;
     blocks.emplace_back(offset, WriteBlock(offset));
   }
+  // Plus stripe 0's second data block, so the seeded writes reach every
+  // disk on every scheme (the blocks above all sit in mirror column 0).
+  blocks.emplace_back(kBlock, WriteBlock(kBlock));
 
   // Phase 2: a data disk of stripe 0 dies. Exactly one concurrent failure.
   const int32_t victim = ctl_->layout().DataDisk(0, 0);
@@ -137,6 +157,23 @@ TEST_P(SchemeFailureTest, FailDegradedRepairReconstructRoundTrip) {
   EXPECT_EQ(st.loss_events, 0u);
   EXPECT_EQ(st.bytes_lost, 0);
   EXPECT_GT(ctl_->Stats().stripes_rebuilt, 0u);
+
+  // The sweep restored exactly the stripes that place a unit on the victim.
+  const ArrayLayout& lay = ctl_->layout();
+  uint64_t on_victim = 0;
+  for (int64_t s = 0; s < lay.num_stripes(); ++s) {
+    on_victim += lay.StripeUsesDisk(s, victim) ? 1 : 0;
+  }
+  EXPECT_EQ(ctl_->Stats().stripes_reconstructed, on_victim);
+
+  // Every scheme traces: service spans on each disk's track, and the fail
+  // and replace instants on the controller track.
+  for (int32_t d = 0; d < cfg_.num_disks; ++d) {
+    EXPECT_GT(CountEvents("disk" + std::to_string(d), 'X'), 0) << "disk" << d;
+  }
+  const std::string disk_name = "disk" + std::to_string(victim);
+  EXPECT_EQ(CountEvents("controller", 'i', "fail " + disk_name), 1);
+  EXPECT_EQ(CountEvents("controller", 'i', "replace " + disk_name), 1);
 
   // Every seeded block reads back exactly as written.
   for (const auto& [offset, tag] : blocks) {
