@@ -62,8 +62,12 @@ std::unique_ptr<ArrayLayout> ArrayEngine::MakeStripedLayout(const ArrayConfig& c
 
 ArrayEngine::ArrayEngine(Simulator* sim, const ArrayConfig& config,
                          std::unique_ptr<ArrayLayout> layout,
-                         int32_t content_parity_slots, Probe probe)
-    : sim_(sim), cfg_(config), layout_(std::move(layout)) {
+                         int32_t content_parity_slots, int32_t stale_slots, Probe probe)
+    : sim_(sim),
+      cfg_(config),
+      layout_(std::move(layout)),
+      nvram_(layout_->num_stripes() * stale_slots),
+      busy_clients_(sim->Now()) {
   for (int32_t d = 0; d < cfg_.num_disks; ++d) {
     const Probe disk_probe = probe.NewTrack("disk" + std::to_string(d));
     disk_probes_.push_back(disk_probe);
@@ -75,6 +79,12 @@ ArrayEngine::ArrayEngine(Simulator* sim, const ArrayConfig& config,
     content_ = std::make_unique<ContentModel>(
         layout_->data_blocks_per_stripe(), content_parity_slots,
         static_cast<int32_t>(cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes));
+  }
+  // Only schemes with stale slots arm an idle timer: a trailing timer would
+  // move the simulated end of every other scheme's run.
+  if (stale_slots > 0) {
+    idle_detector_ = std::make_unique<IdleDetector>(
+        sim_, cfg_.idle_delay, [this] { TriggerRefresh(RefreshCue::kIdle); });
   }
 }
 
@@ -91,6 +101,8 @@ SchemeState ArrayEngine::State() const {
   st.failed_disk = failed_disk_;
   st.recovering_disk = recovering_disk_;
   st.reconstruction_active = reconstruction_active_;
+  st.rebuild_active = refreshing_;
+  st.dirty_marks = nvram_.DirtyCount();
   st.loss_events = loss_events_;
   st.bytes_lost = bytes_lost_;
   return st;
@@ -165,8 +177,14 @@ int32_t ArrayEngine::DataBlockOn(int64_t stripe, int32_t disk) const {
 void ArrayEngine::Submit(const ClientRequest& r, RequestDone done) {
   assert(r.size > 0);
   assert(r.offset >= 0 && r.offset + r.size <= layout_->data_capacity_bytes());
-  OnClientStart();
-  // The client completion and OnClientEnd are folded into the request's join
+  if (outstanding_clients_++ == 0) {
+    busy_clients_.Set(sim_->Now(), 1.0);
+    if (idle_detector_) {
+      idle_detector_->NoteBusy();
+    }
+    OnArrayBusy();
+  }
+  // The client completion and EndClient are folded into the request's join
   // callback, so no intermediate wrapper is needed. Planned requests carry
   // their precompiled Split() (array/plan.h).
   if (!r.is_write) {
@@ -180,7 +198,7 @@ void ArrayEngine::Submit(const ClientRequest& r, RequestDone done) {
     }
     JoinBlock* join = joins_.Make(segs.count, [this, done = std::move(done)](bool) mutable {
       done();
-      OnClientEnd();
+      EndClient();
     });
     for (const Segment& seg : segs) {
       ReadSegment(seg, join);
@@ -213,7 +231,7 @@ void ArrayEngine::Submit(const ClientRequest& r, RequestDone done) {
           seg_pool_.Release(pooled);
         }
         done();
-        OnClientEnd();
+        EndClient();
       });
   size_t i = 0;
   while (i < count) {
@@ -225,6 +243,18 @@ void ArrayEngine::Submit(const ClientRequest& r, RequestDone done) {
                      Span<Segment>{base + i, static_cast<int32_t>(j - i)}, join);
     i = j;
   }
+}
+
+void ArrayEngine::EndClient() {
+  assert(outstanding_clients_ > 0);
+  if (--outstanding_clients_ == 0) {
+    busy_clients_.Set(sim_->Now(), 0.0);
+    if (idle_detector_) {
+      idle_detector_->NoteIdle();
+    }
+    OnArrayIdle();
+  }
+  TriggerRefresh(RefreshCue::kActivity);
 }
 
 void ArrayEngine::ReadSegment(const Segment& seg, JoinBlock* join) {
@@ -387,7 +417,7 @@ void ArrayEngine::ReconstructNextStripe(int64_t stripe) {
     if (done) {
       done();
     }
-    OnReconstructionDone();
+    TriggerRefresh(RefreshCue::kRecovered);  // Deferred work may resume.
     return;
   }
   const int32_t target = recovering_disk_;
@@ -433,6 +463,114 @@ void ArrayEngine::RebuildUnitFromPeers(int64_t stripe, int32_t target,
     IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
                 DiskOpPurpose::kRecoveryRead, [join](bool ok) { join->Dec(ok); });
   }
+}
+
+// --- Deferred redundancy: stale marks, refresh passes and quiesce -------------------
+
+bool ArrayEngine::ClearStale(int64_t key) {
+  const bool changed = nvram_.Clear(key);
+  for (size_t i = 0; i < watchers_.size();) {
+    watchers_[i].waiting.erase(key);
+    if (watchers_[i].waiting.empty()) {
+      auto done = std::move(watchers_[i].done);
+      watchers_.erase(watchers_.begin() + static_cast<ptrdiff_t>(i));
+      done();
+    } else {
+      ++i;
+    }
+  }
+  return changed;
+}
+
+void ArrayEngine::TriggerRefresh(RefreshCue cue) {
+  // The one start gate: while a disk is failed or being reconstructed, stale
+  // keys need the failure machinery, not a recompute from missing blocks.
+  if (refreshing_ || failed_disk_ >= 0 || recovering_disk_ >= 0 ||
+      nvram_.DirtyCount() == 0) {
+    return;
+  }
+  if (Quiescing() || WantRefresh(cue)) {
+    BeginRefreshPass();
+    RefreshNext();
+  }
+}
+
+void ArrayEngine::BeginRefreshPass() {
+  assert(!refreshing_);
+  refreshing_ = true;
+  ++refresh_passes_;
+  if (rebuild_probe_) {
+    rebuild_probe_.AsyncBegin("rebuild pass", refresh_passes_, sim_->Now());
+  }
+}
+
+void ArrayEngine::EndRefreshPass() {
+  assert(refreshing_);
+  refreshing_ = false;
+  if (rebuild_probe_) {
+    rebuild_probe_.AsyncEnd("rebuild pass", refresh_passes_, sim_->Now());
+  }
+}
+
+int64_t ArrayEngine::NextRefreshKey(int64_t from) const {
+  // NextDirty wraps, so walking key+1 from the first hit visits every stale
+  // key exactly once, in ascending order from `from`.
+  const int64_t first = nvram_.NextDirty(from);
+  if (first < 0) {
+    return -1;
+  }
+  int64_t key = first;
+  do {
+    if (Refreshable(key)) {
+      return key;
+    }
+    key = nvram_.NextDirty(key + 1);
+  } while (key != first);
+  return -1;
+}
+
+void ArrayEngine::RefreshNext() {
+  const int64_t key = NextRefreshKey(refresh_cursor_);
+  if (key < 0) {
+    EndRefreshPass();
+    return;
+  }
+  // One key per step, so a foreground request preempts the pass between
+  // steps; the wrapping cursor coalesces adjacent stale stripes.
+  const SimTime step_start = sim_->Now();
+  JoinBlock* step_join = joins_.Make(1, [this, key, step_start](bool ok) {
+    refresh_cursor_ = key + 1;
+    if (rebuild_probe_) {
+      rebuild_probe_.Complete(RefreshStepName(), step_start, sim_->Now());
+    }
+    if (ok && nvram_.DirtyCount() > 0 &&
+        (Quiescing() || WantRefresh(RefreshCue::kStep))) {
+      RefreshNext();
+    } else {
+      EndRefreshPass();
+    }
+  });
+  RefreshKey(key, step_join);
+}
+
+void ArrayEngine::AwaitRefresh(int64_t first_key, int64_t end_key,
+                               std::function<void()> done) {
+  Watcher w;
+  for (int64_t key : nvram_.DirtyStripes()) {
+    if (key >= end_key) {
+      break;
+    }
+    if (key >= first_key && Refreshable(key)) {
+      w.waiting.insert(key);
+    }
+  }
+  if (w.waiting.empty()) {
+    sim_->After(0, std::move(done));
+    return;
+  }
+  w.done = std::move(done);
+  watchers_.push_back(std::move(w));
+  TriggerRefresh(RefreshCue::kActivity);
 }
 
 }  // namespace afraid

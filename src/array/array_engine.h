@@ -16,13 +16,19 @@
 //     (skip stripes off the replaced disk, lock, advance the frontier, fire
 //     the done callback);
 //   * loss accounting (counters, listener, controller-track instant) and the
-//     common State/Stats fields.
+//     common State/Stats fields;
+//   * deferred redundancy, for schemes that keep stale slots (AFRAID's bands,
+//     deferred RAID 6's P and Q): one NVRAM stale-mark store, the client
+//     count and idle trigger, the refresh-pass driver (cursor, passes,
+//     rebuild-track spans) and the quiesce watchers.
 //
 // A controller derives from the engine and supplies only its redundancy
-// logic through a few hooks, each fired at most once per request, segment or
-// stripe -- never per disk op: client start/end, read a segment, write a
-// stripe group (or a segment), reconstruct one locked stripe. DESIGN.md §17
-// explains why degraded reads and write paths stay per scheme.
+// logic through a few hooks, each fired at most once per request, segment,
+// stripe or refresh step -- never per disk op: array busy/idle, read a
+// segment, write a stripe group (or a segment), reconstruct one locked
+// stripe, and for deferred schemes which key to refresh next, how to refresh
+// it and whether to start or keep going. DESIGN.md §17 explains why degraded
+// reads and write paths stay per scheme.
 
 #ifndef AFRAID_ARRAY_ARRAY_ENGINE_H_
 #define AFRAID_ARRAY_ARRAY_ENGINE_H_
@@ -31,11 +37,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "array/content.h"
+#include "array/idle_detector.h"
 #include "array/layout.h"
+#include "array/nvram.h"
 #include "array/scheme.h"
 #include "array/stripe_lock.h"
 #include "core/array_config.h"
@@ -43,6 +52,7 @@
 #include "obs/probe.h"
 #include "sim/arena.h"
 #include "sim/simulator.h"
+#include "stats/time_weighted.h"
 
 namespace afraid {
 
@@ -96,6 +106,18 @@ class ArrayEngine : public ArrayScheme {
   uint64_t TotalDiskOps() const;
   uint64_t LossEvents() const { return loss_events_; }
   int64_t BytesLost() const { return bytes_lost_; }
+  // The stale-mark store: key = stripe * slots + slot (empty without slots).
+  const NvramBitmap& nvram() const { return nvram_; }
+  bool RebuildInProgress() const { return refreshing_; }
+  uint64_t RebuildPasses() const { return refresh_passes_; }
+  // Time-average client-idle fraction (no client requests in flight).
+  double IdleFraction() const { return 1.0 - busy_clients_.PositiveFractionTo(sim_->Now()); }
+
+  // Quiesce: `done` fires once every refreshable key stale now is fresh
+  // (next event if none is). Refresh passes run until then.
+  void RebuildAll(std::function<void()> done) {
+    AwaitRefresh(0, nvram_.NumStripes(), std::move(done));
+  }
 
   // Striped layout of `config` over each disk's capacity less
   // `reserved_bytes` at the end of the disk (scheme-private regions).
@@ -107,14 +129,24 @@ class ArrayEngine : public ArrayScheme {
  protected:
   // `content_parity_slots`: redundancy slots per stripe in the content model
   // (the layout's parity blocks; one twin copy per column for mirroring).
+  // `stale_slots`: deferred-redundancy marks per stripe; 0 builds neither the
+  // stale-mark store nor the idle timer.
   ArrayEngine(Simulator* sim, const ArrayConfig& config,
               std::unique_ptr<ArrayLayout> layout, int32_t content_parity_slots,
-              Probe probe);
+              int32_t stale_slots, Probe probe);
+
+  // Why the refresh driver asks WantRefresh.
+  enum class RefreshCue {
+    kIdle,       // The idle timer fired.
+    kActivity,   // A client request ended, marks were added, or a quiesce began.
+    kRecovered,  // The reconstruction sweep finished.
+    kStep,       // A refresh step finished: keep going?
+  };
 
   // --- Hooks ---------------------------------------------------------------------
-  // Once per request, before any segment is dispatched / after `done` ran.
-  virtual void OnClientStart() {}
-  virtual void OnClientEnd() {}
+  // When the first client request starts / the last one ends.
+  virtual void OnArrayBusy() {}
+  virtual void OnArrayIdle() {}
   // Once per read segment; runs `join->Dec(true)` when the data is in. The
   // default reads the data block, or reconstructs it (DegradedReadSegment)
   // when its disk cannot serve the stripe.
@@ -134,10 +166,30 @@ class ArrayEngine : public ArrayScheme {
   // Once per swept stripe, with its lock held exclusively: restore the
   // replaced disk's unit of `stripe`, then call StripeReconstructed(stripe).
   virtual void ReconstructStripe(int64_t stripe, int32_t target) = 0;
-  // After the sweep's done callback ran (deferred work may resume).
-  virtual void OnReconstructionDone() {}
   // Zeroes the replaced disk's units in the content model (it is blank).
   virtual void BlankReplacedDisk(int32_t disk);
+  // Deferred redundancy. Whether a pass should start -- the engine has
+  // checked that none runs, no disk is failed or recovering and some key is
+  // stale -- or, for kStep, go on after a good step while keys stay stale.
+  // A waiting quiesce overrides a "no".
+  virtual bool WantRefresh(RefreshCue cue) {
+    (void)cue;
+    return false;
+  }
+  // Whether refresh passes and quiesces cover `key`.
+  virtual bool Refreshable(int64_t key) const {
+    (void)key;
+    return true;
+  }
+  // The next refreshable stale key at/after `from`, wrapping; -1 if none.
+  virtual int64_t NextRefreshKey(int64_t from) const;
+  // One refresh step: make `key` fresh, then run `step_join->Dec(ok)` once.
+  virtual void RefreshKey(int64_t key, JoinBlock* step_join) {
+    (void)key;
+    step_join->Dec(false);
+  }
+  // Name of the per-step span on the rebuild track.
+  virtual const char* RefreshStepName() const { return "band"; }
 
   // --- Shared machinery ------------------------------------------------------------
   void IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length, bool is_write,
@@ -163,6 +215,16 @@ class ArrayEngine : public ArrayScheme {
   // Ends a ReconstructStripe step: counts it, advances the frontier,
   // releases the stripe and moves on to the next one.
   void StripeReconstructed(int64_t stripe);
+  // Stale-mark updates; true iff the mark changed. A cleared key counts
+  // toward any quiesce waiting for it, changed or not.
+  bool MarkStale(int64_t key) { return nvram_.Mark(key); }
+  bool ClearStale(int64_t key);
+  // Starts a refresh pass if the gate and the scheme (or a quiesce) allow.
+  void TriggerRefresh(RefreshCue cue);
+  // Quiesce over keys [first_key, end_key) that are stale and refreshable.
+  void AwaitRefresh(int64_t first_key, int64_t end_key, std::function<void()> done);
+  bool Quiescing() const { return !watchers_.empty(); }
+  bool ArrayBusy() const { return outstanding_clients_ > 0; }
 
   Simulator* sim_;
   ArrayConfig cfg_;
@@ -193,14 +255,35 @@ class ArrayEngine : public ArrayScheme {
   bool reconstruction_active_ = false;
   uint64_t stripes_reconstructed_ = 0;
 
+  // Deferred redundancy: the stale-mark store.
+  NvramBitmap nvram_;
+
  private:
   void ReconstructNextStripe(int64_t stripe);
+  void EndClient();
+  // The refresh pass; refreshing_ only flips in Begin/End, so the
+  // rebuild-track pass spans cannot drift from the driver's state.
+  void BeginRefreshPass();
+  void EndRefreshPass();
+  void RefreshNext();
 
   std::function<void()> reconstruction_done_;
   std::array<uint64_t, static_cast<size_t>(DiskOpPurpose::kNumPurposes)> disk_ops_{};
   uint64_t loss_events_ = 0;
   int64_t bytes_lost_ = 0;
   LossListener loss_listener_;
+
+  int32_t outstanding_clients_ = 0;
+  std::unique_ptr<IdleDetector> idle_detector_;  // Only with stale slots.
+  TimeWeightedValue busy_clients_;
+  bool refreshing_ = false;
+  int64_t refresh_cursor_ = 0;
+  uint64_t refresh_passes_ = 0;
+  struct Watcher {
+    std::set<int64_t> waiting;
+    std::function<void()> done;
+  };
+  std::vector<Watcher> watchers_;
 };
 
 }  // namespace afraid

@@ -10,15 +10,13 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
                                    std::unique_ptr<ParityPolicy> policy,
                                    const AvailabilityParams& avail_params, Probe probe)
     : ArrayEngine(sim, config, MakeStripedLayout(config, config.parity_blocks),
-                  config.parity_blocks, probe),
+                  config.parity_blocks, config.marks_per_stripe, probe),
       policy_(std::move(policy)),
       avail_params_(avail_params),
-      nvram_(layout_->num_stripes() * config.marks_per_stripe),
       read_cache_(config.read_cache_bytes, config.stripe_unit_bytes),
       staging_(config.write_staging_bytes, config.stripe_unit_bytes),
       start_time_(sim->Now()),
-      unprot_bytes_(sim->Now()),
-      busy_clients_(sim->Now()) {
+      unprot_bytes_(sim->Now()) {
   assert(cfg_.parity_blocks == 1);  // RAID 6 lives in Raid6Controller.
   assert(cfg_.stripe_unit_bytes % cfg_.disk_spec.sector_bytes == 0);
   assert(cfg_.marks_per_stripe >= 1);
@@ -26,28 +24,6 @@ AfraidController::AfraidController(Simulator* sim, const ArrayConfig& config,
   assert((cfg_.stripe_unit_bytes / cfg_.disk_spec.sector_bytes) %
              cfg_.marks_per_stripe ==
          0);
-  idle_detector_ = std::make_unique<IdleDetector>(sim_, cfg_.idle_delay, [this] {
-    // The array has been completely idle for the configured delay: start
-    // processing pending parity updates if the policy permits.
-    if (rebuilding_ || scrub_active_ || reconstruction_active_ || failed_disk_ >= 0 ||
-        nvram_.failed() || nvram_.DirtyCount() == 0) {
-      return;
-    }
-    if (cfg_.use_idle_predictor) {
-      // [Golding95]: skip gaps predicted too short for even one rebuild
-      // step -- starting one would only collide with the next burst.
-      const SimDuration predicted = idle_predictor_.PredictRemaining(cfg_.idle_delay);
-      if (idle_predictor_.Observations() >= 4 &&
-          static_cast<double>(predicted) < rebuild_step_estimate_ns_) {
-        ++predictor_skips_;
-        return;
-      }
-    }
-    if (policy_->RebuildOnIdle(MakePolicyContext())) {
-      BeginRebuildPass();
-      RebuildNext();
-    }
-  });
 }
 
 AfraidController::~AfraidController() = default;
@@ -56,8 +32,6 @@ std::string AfraidController::PolicyLabel() const { return policy_->Name(); }
 
 SchemeState AfraidController::State() const {
   SchemeState st = ArrayEngine::State();
-  st.rebuild_active = rebuilding_;
-  st.dirty_marks = nvram_.DirtyCount();
   st.parity_lag_bytes = CurrentParityLagBytes();
   st.last_write_raid5 = last_write_raid5_;
   return st;
@@ -69,7 +43,7 @@ SchemeStats AfraidController::Stats() const {
   s.t_unprot_fraction = TUnprotFraction();
   s.max_dirty_stripes = MaxDirtyStripes();
   s.stripes_rebuilt = stripes_rebuilt_;
-  s.rebuild_passes = rebuild_passes_;
+  s.rebuild_passes = RebuildPasses();
   s.afraid_mode_writes = afraid_mode_writes_;
   s.raid5_mode_writes = raid5_mode_writes_;
   s.disk_ops_rebuild = DiskOps(DiskOpPurpose::kRebuildRead) +
@@ -97,31 +71,44 @@ PolicyContext AfraidController::MakePolicyContext() const {
 
 // --- Bookkeeping helpers ------------------------------------------------------
 
-void AfraidController::OnClientStart() {
-  if (outstanding_clients_ == 0) {
-    busy_clients_.Set(sim_->Now(), 1.0);
-    idle_detector_->NoteBusy();
-    // The idle period that just ended is a predictor observation -- but only
-    // if it outlived the detector delay: the prediction is consumed at
-    // detector-fire time, so the relevant population is the periods that
-    // got that far (inter-request micro-gaps would otherwise swamp the mean).
-    const SimDuration period = sim_->Now() - idle_started_at_;
-    if (period >= cfg_.idle_delay && period > 0) {
-      idle_predictor_.ObserveIdlePeriod(period);
-    }
+void AfraidController::OnArrayBusy() {
+  // The idle period that just ended is a predictor observation -- but only
+  // if it outlived the detector delay: the prediction is consumed at
+  // detector-fire time, so the relevant population is the periods that got
+  // that far (inter-request micro-gaps would otherwise swamp the mean).
+  const SimDuration period = sim_->Now() - idle_started_at_;
+  if (period >= cfg_.idle_delay && period > 0) {
+    idle_predictor_.ObserveIdlePeriod(period);
   }
-  ++outstanding_clients_;
 }
 
-void AfraidController::OnClientEnd() {
-  assert(outstanding_clients_ > 0);
-  --outstanding_clients_;
-  if (outstanding_clients_ == 0) {
-    busy_clients_.Set(sim_->Now(), 0.0);
-    idle_detector_->NoteIdle();
-    idle_started_at_ = sim_->Now();
+bool AfraidController::WantRefresh(RefreshCue cue) {
+  if (scrub_active_ || nvram_.failed()) {
+    return false;
   }
-  TriggerRebuildCheck();
+  const PolicyContext ctx = MakePolicyContext();
+  switch (cue) {
+    case RefreshCue::kIdle:
+      // The array has been completely idle for the configured delay.
+      if (cfg_.use_idle_predictor) {
+        // [Golding95]: skip gaps predicted too short for even one rebuild
+        // step -- starting one would only collide with the next burst.
+        const SimDuration predicted = idle_predictor_.PredictRemaining(cfg_.idle_delay);
+        if (idle_predictor_.Observations() >= 4 &&
+            static_cast<double>(predicted) < rebuild_step_estimate_ns_) {
+          ++predictor_skips_;
+          return false;
+        }
+      }
+      return policy_->RebuildOnIdle(ctx);
+    case RefreshCue::kActivity:
+    case RefreshCue::kRecovered:
+      return policy_->ForceRebuild(ctx);
+    case RefreshCue::kStep:
+      return failed_disk_ < 0 &&
+             (policy_->ForceRebuild(ctx) || (!ArrayBusy() && policy_->RebuildOnIdle(ctx)));
+  }
+  return false;
 }
 
 std::pair<int32_t, int32_t> AfraidController::BandsOfRange(int32_t offset_in_block,
@@ -137,7 +124,7 @@ void AfraidController::MarkBands(int64_t stripe, int32_t first_band,
   assert(!nvram_.failed());
   assert(first_band >= 0 && last_band < cfg_.marks_per_stripe);
   for (int32_t b = first_band; b <= last_band; ++b) {
-    if (nvram_.Mark(stripe * cfg_.marks_per_stripe + b)) {
+    if (MarkStale(stripe * cfg_.marks_per_stripe + b)) {
       unprot_bytes_.Add(sim_->Now(), static_cast<double>(BandBytesPerStripe()));
       max_dirty_ = std::max(max_dirty_, nvram_.DirtyCount());
     }
@@ -145,10 +132,11 @@ void AfraidController::MarkBands(int64_t stripe, int32_t first_band,
 }
 
 void AfraidController::ClearBandKey(int64_t key) {
-  if (nvram_.Clear(key)) {
+  // Exposure first: ClearStale may run a quiesce's done callback.
+  if (nvram_.IsDirty(key)) {
     unprot_bytes_.Add(sim_->Now(), -static_cast<double>(BandBytesPerStripe()));
   }
-  CheckWatchers(key);
+  ClearStale(key);
 }
 
 void AfraidController::ClearAllBands(int64_t stripe) {
@@ -175,19 +163,6 @@ bool AfraidController::RangeDirty(int64_t stripe, int32_t offset_in_block,
     }
   }
   return false;
-}
-
-void AfraidController::CheckWatchers(int64_t cleared_stripe) {
-  for (size_t i = 0; i < watchers_.size();) {
-    watchers_[i].waiting.erase(cleared_stripe);
-    if (watchers_[i].waiting.empty()) {
-      auto done = std::move(watchers_[i].done);
-      watchers_.erase(watchers_.begin() + static_cast<ptrdiff_t>(i));
-      done();
-    } else {
-      ++i;
-    }
-  }
 }
 
 bool AfraidController::WantRaid5Write() {
@@ -325,7 +300,7 @@ void AfraidController::AfraidWriteGroup(uint64_t request_id, int64_t stripe,
       const auto [first, last] = BandsOfRange(seg.offset_in_block, seg.length);
       MarkBands(stripe, first, last);
     }
-    TriggerRebuildCheck();
+    TriggerRefresh(RefreshCue::kActivity);
 
     auto finish = [this, request_id, stripe, segs, attempt,
                    group_join](bool all_ok) {
@@ -718,37 +693,6 @@ void AfraidController::ReadModifyWrite(uint64_t request_id, int64_t stripe,
               [read_join](bool ok) { read_join->Dec(ok); });
 }
 
-// --- Background parity rebuild ---------------------------------------------------
-
-void AfraidController::TriggerRebuildCheck() {
-  if (rebuilding_ || scrub_active_ || reconstruction_active_ || failed_disk_ >= 0 ||
-      nvram_.failed() || nvram_.DirtyCount() == 0) {
-    return;
-  }
-  const bool forced = !watchers_.empty() || policy_->ForceRebuild(MakePolicyContext());
-  if (forced) {
-    BeginRebuildPass();
-    RebuildNext();
-  }
-}
-
-void AfraidController::BeginRebuildPass() {
-  assert(!rebuilding_);
-  rebuilding_ = true;
-  ++rebuild_passes_;
-  if (rebuild_probe_) {
-    rebuild_probe_.AsyncBegin("rebuild pass", rebuild_passes_, sim_->Now());
-  }
-}
-
-void AfraidController::EndRebuildPass() {
-  assert(rebuilding_);
-  rebuilding_ = false;
-  if (rebuild_probe_) {
-    rebuild_probe_.AsyncEnd("rebuild pass", rebuild_passes_, sim_->Now());
-  }
-}
-
 void AfraidController::SetRegionClass(int64_t offset, int64_t length,
                                       RedundancyClass cls) {
   assert(length > 0);
@@ -771,169 +715,73 @@ AfraidController::RedundancyClass AfraidController::RegionClassOf(
   return RedundancyClass::kPolicyDefault;
 }
 
-// First dirty band key at/after `from` (wrapping) whose stripe's region
-// permits parity maintenance; -1 if none.
-int64_t AfraidController::PickRebuildableKey(int64_t from) const {
-  // NextDirty wraps, so walking key+1 from the first hit visits every dirty
-  // key exactly once in the same order the ordered-set scan used to.
-  const int64_t first = nvram_.NextDirty(from);
-  if (first < 0) {
-    return -1;
-  }
-  int64_t key = first;
-  do {
-    if (RegionClassOf(key / cfg_.marks_per_stripe) != RedundancyClass::kNeverParity) {
-      return key;
-    }
-    key = nvram_.NextDirty(key + 1);
-  } while (key != first);
-  return -1;
-}
+// --- Background parity rebuild and paritypoints ------------------------------------
 
-void AfraidController::RebuildNext() {
-  assert(rebuilding_);
-  if (failed_disk_ >= 0 || nvram_.failed()) {
-    EndRebuildPass();
-    return;
-  }
-  const int64_t key = PickRebuildableKey(rebuild_cursor_);
-  if (key < 0) {
-    EndRebuildPass();
-    return;
-  }
-  const SimTime step_start = sim_->Now();
-  JoinBlock* step_join = joins_.Make(1, [this, key, step_start](bool ok) {
-    rebuild_cursor_ = key + 1;
-    if (rebuild_probe_) {
-      rebuild_probe_.Complete("band", step_start, sim_->Now());
-    }
-    if (!ok) {
-      EndRebuildPass();
-      return;
-    }
-    // Keep the predictor's rebuild-quantum estimate fresh (EWMA).
-    rebuild_step_estimate_ns_ +=
-        0.2 * (static_cast<double>(sim_->Now() - step_start) -
-               rebuild_step_estimate_ns_);
-    const PolicyContext ctx = MakePolicyContext();
-    const bool keep_going = !watchers_.empty() || policy_->ForceRebuild(ctx) ||
-                            (!ArrayBusy() && policy_->RebuildOnIdle(ctx));
-    if (keep_going && nvram_.DirtyCount() > 0) {
-      RebuildNext();
-    } else {
-      EndRebuildPass();
-    }
-  });
-  RebuildBand(key, step_join);
-}
-
-void AfraidController::RebuildBand(int64_t band_key, JoinBlock* step_join) {
-  const int64_t stripe = band_key / cfg_.marks_per_stripe;
-  const auto band = static_cast<int32_t>(band_key % cfg_.marks_per_stripe);
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, band_key, stripe, band,
-                                                step_join] {
-    if (!nvram_.IsDirty(band_key)) {
-      // A racing RAID 5-mode write refreshed the parity while we waited.
+void AfraidController::RefreshKey(int64_t key, JoinBlock* step_join) {
+  const SimTime start = sim_->Now();
+  locks_.Acquire(key / BandsPerStripe(), LockMode::kExclusive, [this, key, start, step_join] {
+    const int64_t stripe = key / BandsPerStripe();
+    // A racing RAID 5-mode write may have refreshed the parity while we waited.
+    const bool stale = nvram_.IsDirty(key);
+    JoinBlock* fin = joins_.Make(1, [this, key, stripe, stale, start, step_join](bool ok) {
+      if (ok && stale) {
+        ClearBandKey(key);
+        ++stripes_rebuilt_;
+      }
       locks_.Release(stripe, LockMode::kExclusive);
-      step_join->Dec(true);
+      if (ok) {
+        // Keep the predictor's rebuild-quantum estimate fresh (EWMA).
+        rebuild_step_estimate_ns_ +=
+            0.2 * (static_cast<double>(sim_->Now() - start) - rebuild_step_estimate_ns_);
+      }
+      step_join->Dec(ok);
+    });
+    if (!stale) {
+      fin->Dec(true);
       return;
     }
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    const int64_t band_height = unit / cfg_.marks_per_stripe;
-    const int64_t band_rel = band * band_height;  // Offset within the unit.
-    const int32_t sector = cfg_.disk_spec.sector_bytes;
-    const auto first_sector = static_cast<int32_t>(band_rel / sector);
-    const auto band_sectors = static_cast<int32_t>(band_height / sector);
-
-    // Read every data block's band; once all are in, write the recomputed
-    // parity band, then release the lock and report to the step join.
-    JoinBlock* read_join = joins_.Make(
-        n, [this, band_key, stripe, band_rel, band_height, first_sector,
-            band_sectors, step_join](bool reads_ok) {
-          if (!reads_ok) {
-            locks_.Release(stripe, LockMode::kExclusive);
-            step_join->Dec(false);
-            return;
-          }
-          const BlockLoc pl = layout_->ParityLocation(stripe);
-          IssueDiskOp(pl.disk, pl.byte_offset + band_rel, band_height,
-                      /*is_write=*/true,
-                      DiskOpPurpose::kRebuildWrite,
-                      [this, band_key, stripe, first_sector, band_sectors,
-                       step_join](bool ok) {
-                        if (ok) {
-                          if (content_ != nullptr) {
-                            // One batched sweep over the band's sectors in
-                            // place of a lookup + reduction per sector.
-                            parity_scratch_.resize(
-                                static_cast<size_t>(band_sectors));
-                            content_->XorOfDataRange(stripe, first_sector,
-                                                     band_sectors,
-                                                     parity_scratch_.data());
-                            content_->SetParityRange(stripe, first_sector,
-                                                     band_sectors,
-                                                     parity_scratch_.data());
-                          }
-                          ClearBandKey(band_key);
-                          ++stripes_rebuilt_;
-                        }
-                        locks_.Release(stripe, LockMode::kExclusive);
-                        step_join->Dec(ok);
-                      });
-        });
-    for (int32_t j = 0; j < n; ++j) {
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset + band_rel, band_height,
-                  /*is_write=*/false, DiskOpPurpose::kRebuildRead,
-                  [read_join](bool ok) { read_join->Dec(ok); });
-    }
+    const int64_t band_height = layout_->stripe_unit() / BandsPerStripe();
+    RewriteParity(stripe, key % BandsPerStripe() * band_height, band_height, fin);
   });
 }
 
-// --- Paritypoints / quiesce -------------------------------------------------------
+void AfraidController::RewriteParity(int64_t stripe, int64_t rel, int64_t len,
+                                     JoinBlock* fin) {
+  const int32_t n = layout_->data_blocks_per_stripe();
+  JoinBlock* read_join = joins_.Make(n, [this, stripe, rel, len, fin](bool reads_ok) {
+    if (!reads_ok) {
+      fin->Dec(false);
+      return;
+    }
+    const BlockLoc pl = layout_->ParityLocation(stripe);
+    IssueDiskOp(pl.disk, pl.byte_offset + rel, len, /*is_write=*/true,
+                DiskOpPurpose::kRebuildWrite, [this, stripe, rel, len, fin](bool ok) {
+                  if (ok && content_ != nullptr) {
+                    // One batched sweep over the range's sectors.
+                    const int32_t sector = cfg_.disk_spec.sector_bytes;
+                    const auto first = static_cast<int32_t>(rel / sector);
+                    const auto count = static_cast<int32_t>(len / sector);
+                    parity_scratch_.resize(static_cast<size_t>(count));
+                    content_->XorOfDataRange(stripe, first, count, parity_scratch_.data());
+                    content_->SetParityRange(stripe, first, count, parity_scratch_.data());
+                  }
+                  fin->Dec(ok);
+                });
+  });
+  for (int32_t j = 0; j < n; ++j) {
+    const BlockLoc dl = layout_->DataLocation(stripe, j);
+    IssueDiskOp(dl.disk, dl.byte_offset + rel, len, /*is_write=*/false,
+                DiskOpPurpose::kRebuildRead, [read_join](bool ok) { read_join->Dec(ok); });
+  }
+}
 
 void AfraidController::ParityPoint(int64_t offset, int64_t length,
                                    std::function<void()> done) {
   assert(length > 0);
   assert(offset >= 0 && offset + length <= layout_->data_capacity_bytes());
-  Watcher w;
   const int64_t first = layout_->StripeOfOffset(offset);
   const int64_t last = layout_->StripeOfOffset(offset + length - 1);
-  for (int64_t s = first; s <= last; ++s) {
-    if (RegionClassOf(s) == RedundancyClass::kNeverParity) {
-      continue;
-    }
-    for (int32_t b = 0; b < cfg_.marks_per_stripe; ++b) {
-      const int64_t key = s * cfg_.marks_per_stripe + b;
-      if (nvram_.IsDirty(key)) {
-        w.waiting.insert(key);
-      }
-    }
-  }
-  if (w.waiting.empty()) {
-    sim_->After(0, std::move(done));
-    return;
-  }
-  w.done = std::move(done);
-  watchers_.push_back(std::move(w));
-  TriggerRebuildCheck();
-}
-
-void AfraidController::RebuildAll(std::function<void()> done) {
-  Watcher w;
-  for (int64_t key : nvram_.DirtyStripes()) {
-    if (RegionClassOf(key / cfg_.marks_per_stripe) != RedundancyClass::kNeverParity) {
-      w.waiting.insert(key);
-    }
-  }
-  if (w.waiting.empty()) {
-    sim_->After(0, std::move(done));
-    return;
-  }
-  w.done = std::move(done);
-  watchers_.push_back(std::move(w));
-  TriggerRebuildCheck();
+  AwaitRefresh(first * BandsPerStripe(), (last + 1) * BandsPerStripe(), std::move(done));
 }
 
 // --- Recovery sweeps -------------------------------------------------------------------
@@ -986,7 +834,9 @@ bool AfraidController::FailNvram() {
 }
 
 bool AfraidController::StartFullScrub(std::function<void()> done) {
-  if (scrub_active_ || rebuilding_) {
+  // A failed or not yet reconstructed disk would fail stripes' reads or
+  // parity write, yet the scrub would still end reporting full redundancy.
+  if (scrub_active_ || RebuildInProgress() || failed_disk_ >= 0 || recovering_disk_ >= 0) {
     return false;
   }
   scrub_active_ = true;
@@ -1015,37 +865,10 @@ void AfraidController::ScrubNextStripe(int64_t stripe) {
     return;
   }
   locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe] {
-    const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
-    auto write = [this, stripe, unit](bool ok) {
-      auto advance = [this, stripe](bool) {
-        locks_.Release(stripe, LockMode::kExclusive);
-        ScrubNextStripe(stripe + 1);
-      };
-      if (!ok) {
-        advance(false);
-        return;
-      }
-      const BlockLoc pl = layout_->ParityLocation(stripe);
-      IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
-                  DiskOpPurpose::kRebuildWrite, [this, stripe, advance](bool ok2) {
-                    if (ok2 && content_ != nullptr) {
-                      const int32_t spu = content_->sectors_per_unit();
-                      parity_scratch_.resize(static_cast<size_t>(spu));
-                      content_->XorOfDataAll(stripe, parity_scratch_.data());
-                      content_->SetParityRange(stripe, 0, spu,
-                                               parity_scratch_.data());
-                    }
-                    advance(ok2);
-                  });
-    };
-    JoinBlock* join = joins_.Make(n, std::move(write));
-    for (int32_t j = 0; j < n; ++j) {
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit,
-                  /*is_write=*/false, DiskOpPurpose::kRebuildRead,
-                  [join](bool ok) { join->Dec(ok); });
-    }
+    RewriteParity(stripe, 0, layout_->stripe_unit(), joins_.Make(1, [this, stripe](bool) {
+      locks_.Release(stripe, LockMode::kExclusive);
+      ScrubNextStripe(stripe + 1);
+    }));
   });
 }
 
@@ -1060,10 +883,8 @@ std::vector<uint64_t> AfraidController::ReadLogicalCurrent(int64_t offset,
   out.reserve(static_cast<size_t>(length / sector));
   layout_->SplitInto(offset, length, &read_back_scratch_);
   for (const Segment& seg : read_back_scratch_) {
-    const int32_t disk = layout_->DataDisk(seg.stripe, seg.block_in_stripe);
     const bool degraded =
-        disk == failed_disk_ ||
-        (disk == recovering_disk_ && seg.stripe >= recovery_frontier_);
+        DiskUnavailable(layout_->DataDisk(seg.stripe, seg.block_in_stripe), seg.stripe);
     const int32_t first = seg.offset_in_block / sector;
     const int32_t count = seg.length / sector;
     for (int32_t i = 0; i < count; ++i) {

@@ -19,9 +19,11 @@
 //                     xor-delta, write data + parity) for small updates --
 //                 the classic 4-I/O small-update penalty of Section 1.
 //
-// Background parity rebuilds sweep the NVRAM dirty set in ascending stripe
-// order (adjacent dirty stripes coalesce into near-sequential disk access),
-// one stripe at a time, preemptable between stripes.
+// Background parity rebuilds run on the engine's refresh driver, which sweeps
+// the NVRAM dirty set in ascending order (adjacent dirty stripes coalesce
+// into near-sequential disk access), one band per step, preemptable between
+// steps. AFRAID supplies the band step, the kNeverParity skip and the start
+// decision (policy, idle predictor, NVRAM and scrub state).
 //
 // On top of the engine's failure machinery (array/array_engine.h): degraded
 // reads/writes and the replacement sweep's single-parity step, NVRAM
@@ -34,15 +36,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "array/array_engine.h"
 #include "array/cache.h"
-#include "array/idle_detector.h"
 #include "array/idle_predictor.h"
-#include "array/nvram.h"
 #include "avail/model.h"
 #include "core/policy.h"
 #include "stats/time_weighted.h"
@@ -74,10 +73,8 @@ class AfraidController : public ArrayEngine {
   // --- Section 5 refinements ---------------------------------------------------
   // Host-requested "paritypoint": force the given byte range redundant;
   // `done` fires once every stripe overlapping the range has fresh parity.
-  // Stripes in a kNeverParity region are excluded.
+  // Stripes in a kNeverParity region are excluded (as from RebuildAll).
   void ParityPoint(int64_t offset, int64_t length, std::function<void()> done);
-  // Forces every dirty stripe redundant (used by tests to quiesce).
-  void RebuildAll(std::function<void()> done);
 
   // Per-region redundancy classes: "stripe-aligned subsets of an AFRAID's
   // storage space could be permanently flagged with different redundancy
@@ -96,8 +93,6 @@ class AfraidController : public ArrayEngine {
   RedundancyClass RegionClassOf(int64_t stripe) const;
 
   // --- Introspection -----------------------------------------------------------
-  const NvramBitmap& nvram() const { return nvram_; }
-  bool RebuildInProgress() const { return rebuilding_; }
   bool ScrubInProgress() const { return scrub_active_; }
 
   // Parity-lag accounting (Section 3.2). Mean over [start, now].
@@ -105,11 +100,7 @@ class AfraidController : public ArrayEngine {
   double TUnprotFraction() const { return unprot_bytes_.PositiveFractionTo(sim_->Now()); }
   double CurrentParityLagBytes() const { return unprot_bytes_.Current(); }
 
-  // Time-average client-idle fraction (no client requests in flight).
-  double IdleFraction() const { return 1.0 - busy_clients_.PositiveFractionTo(sim_->Now()); }
-
   uint64_t StripesRebuilt() const { return stripes_rebuilt_; }
-  uint64_t RebuildPasses() const { return rebuild_passes_; }
   // Idle windows the predictor judged too short to start a rebuild in.
   uint64_t PredictorSkips() const { return predictor_skips_; }
   const IdlePredictor& idle_predictor() const { return idle_predictor_; }
@@ -131,15 +122,20 @@ class AfraidController : public ArrayEngine {
 
  private:
   // --- Engine hooks ---
-  void OnClientStart() override;
-  void OnClientEnd() override;
+  void OnArrayBusy() override;
+  void OnArrayIdle() override { idle_started_at_ = sim_->Now(); }
   void ReadSegment(const Segment& seg, JoinBlock* join) override;
   void WriteStripeGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                         JoinBlock* group_join) override {
     RunStripeWriteGroup(request_id, stripe, segs, 0, group_join);
   }
   void ReconstructStripe(int64_t stripe, int32_t target) override;
-  void OnReconstructionDone() override { TriggerRebuildCheck(); }
+  bool WantRefresh(RefreshCue cue) override;
+  bool Refreshable(int64_t key) const override {
+    return RegionClassOf(key / BandsPerStripe()) != RedundancyClass::kNeverParity;
+  }
+  // The band step: recomputes one dirty band's parity under the stripe lock.
+  void RefreshKey(int64_t key, JoinBlock* step_join) override;
 
   // --- Client paths ---
   // The write-path plumbing hands pooled storage around: `segs` spans point
@@ -166,17 +162,10 @@ class AfraidController : public ArrayEngine {
   // Post-completion bookkeeping of one data-segment write (caches, content).
   void ApplyDataWrite(uint64_t request_id, const Segment& seg);
 
-  // --- Rebuild engine ---
-  void TriggerRebuildCheck();
-  // The rebuilding_ flag only flips through these, so the trace's
-  // rebuild-pass spans cannot drift out of sync with the engine state.
-  void BeginRebuildPass();
-  void EndRebuildPass();
-  void RebuildNext();
-  // Runs `step_join->Dec(ok)` when the band step completes.
-  void RebuildBand(int64_t band_key, JoinBlock* step_join);
-
-  // --- Recovery sweeps ---
+  // The band step's and the scrub's body: reads [rel, rel+len) of every data
+  // block, writes the parity over that range, then runs `fin->Dec(ok)`.
+  // Failed reads skip the write.
+  void RewriteParity(int64_t stripe, int64_t rel, int64_t len, JoinBlock* fin);
   void ScrubNextStripe(int64_t stripe);
 
   // --- Helpers ---
@@ -198,7 +187,6 @@ class AfraidController : public ArrayEngine {
   void ClearAllBands(int64_t stripe);
   bool AnyBandDirty(int64_t stripe) const;
   bool RangeDirty(int64_t stripe, int32_t offset_in_block, int32_t length) const;
-  bool ArrayBusy() const { return outstanding_clients_ > 0; }
   // Data-block cache key: global data-block index.
   int64_t BlockKey(int64_t stripe, int32_t j) const {
     return stripe * layout_->data_blocks_per_stripe() + j;
@@ -210,18 +198,12 @@ class AfraidController : public ArrayEngine {
   }
   // True if writes must take the RAID 5 path right now (policy or degraded).
   bool WantRaid5Write();
-  void CheckWatchers(int64_t cleared_stripe);
-  // First dirty band key at/after `from` (wrapping) outside kNeverParity
-  // regions; -1 if none.
-  int64_t PickRebuildableKey(int64_t from) const;
 
   std::unique_ptr<ParityPolicy> policy_;
   AvailabilityParams avail_params_;
 
-  NvramBitmap nvram_;
   BlockLruCache read_cache_;
   BlockLruCache staging_;
-  std::unique_ptr<IdleDetector> idle_detector_;
 
   // Synchronous-only scratch vectors reused across calls.
   mutable std::vector<Segment> read_back_scratch_;   // ReadLogicalCurrent.
@@ -229,13 +211,7 @@ class AfraidController : public ArrayEngine {
   std::vector<const Segment*> need_read_scratch_;    // ReadModifyWrite.
 
   SimTime start_time_;
-  int32_t outstanding_clients_ = 0;
-
-  // Rebuild engine.
-  bool rebuilding_ = false;
-  int64_t rebuild_cursor_ = 0;
   uint64_t stripes_rebuilt_ = 0;
-  uint64_t rebuild_passes_ = 0;
 
   // Idleness prediction (optional; Section 4.1 / [Golding95]).
   IdlePredictor idle_predictor_;
@@ -249,13 +225,6 @@ class AfraidController : public ArrayEngine {
   bool scrub_active_ = false;
   std::function<void()> scrub_done_;
 
-  // Paritypoint / quiesce watchers.
-  struct Watcher {
-    std::set<int64_t> waiting;
-    std::function<void()> done;
-  };
-  std::vector<Watcher> watchers_;
-
   // Redundancy-class regions, newest-first precedence.
   struct Region {
     int64_t first_stripe;
@@ -266,7 +235,6 @@ class AfraidController : public ArrayEngine {
 
   // Accounting.
   TimeWeightedValue unprot_bytes_;
-  TimeWeightedValue busy_clients_;
   uint64_t afraid_mode_writes_ = 0;
   uint64_t raid5_mode_writes_ = 0;
   bool last_write_raid5_ = false;

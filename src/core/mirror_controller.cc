@@ -14,7 +14,8 @@ MirrorController::MirrorController(Simulator* sim, const ArrayConfig& config,
                                                  config.stripe_unit_bytes,
                                                  DiskCapacityBytes(config),
                                                  /*parity_blocks=*/0),
-                  /*content_parity_slots=*/config.num_disks / 2, probe) {
+                  /*content_parity_slots=*/config.num_disks / 2, /*stale_slots=*/0,
+                  probe) {
   assert(cfg_.num_disks >= 2 && cfg_.num_disks % 2 == 0);
 }
 

@@ -21,7 +21,7 @@ ParityLogController::ParityLogController(Simulator* sim, const ArrayConfig& conf
                   MakeStripedLayout(config, /*parity_blocks=*/1,
                                     log_config.FittedTo(DiskCapacityBytes(config))
                                         .log_region_bytes),
-                  /*content_parity_slots=*/1, probe),
+                  /*content_parity_slots=*/1, /*stale_slots=*/0, probe),
       log_cfg_(log_config.FittedTo(DiskCapacityBytes(config))) {
   assert(log_cfg_.log_region_bytes > log_cfg_.nvram_buffer_bytes);
 }

@@ -23,15 +23,11 @@ std::string Raid6ModeName(Raid6Mode mode) {
 Raid6Controller::Raid6Controller(Simulator* sim, const ArrayConfig& config,
                                  Raid6Mode mode, Probe probe)
     : ArrayEngine(sim, config, MakeStripedLayout(config, /*parity_blocks=*/2),
-                  /*content_parity_slots=*/2, probe),
+                  /*content_parity_slots=*/2, /*stale_slots=*/2, probe),
       mode_(mode),
-      p_stale_(layout_->num_stripes()),
-      q_stale_(layout_->num_stripes()),
       q_only_stale_(sim->Now()),
       both_stale_(sim->Now()) {
   assert(cfg_.num_disks >= 4);
-  idle_detector_ = std::make_unique<IdleDetector>(sim_, cfg_.idle_delay,
-                                                  [this] { MaybeStartRebuild(); });
 }
 
 Raid6Controller::~Raid6Controller() = default;
@@ -63,47 +59,22 @@ void Raid6Controller::UpdateExposure() {
   const double stripe_bytes =
       static_cast<double>(layout_->data_blocks_per_stripe()) *
       static_cast<double>(layout_->stripe_unit());
-  const double both = static_cast<double>(p_stale_.DirtyCount()) * stripe_bytes;
-  const double q_only =
-      static_cast<double>(q_stale_.DirtyCount() - p_stale_.DirtyCount()) *
-      stripe_bytes;
+  const double both = static_cast<double>(stale_p_) * stripe_bytes;
+  const double q_only = static_cast<double>(stale_q_ - stale_p_) * stripe_bytes;
   both_stale_.Set(sim_->Now(), both);
   q_only_stale_.Set(sim_->Now(), q_only);
 }
 
-void Raid6Controller::MarkStale(int64_t stripe, bool p, bool q) {
-  if (p) {
-    p_stale_.Mark(stripe);
-  }
-  if (q) {
-    q_stale_.Mark(stripe);
-  }
-  max_stale_stripes_ = std::max(max_stale_stripes_, q_stale_.DirtyCount());
-  UpdateExposure();
-}
-
-void Raid6Controller::ClearStale(int64_t stripe) {
-  p_stale_.Clear(stripe);
-  q_stale_.Clear(stripe);
-  UpdateExposure();
-}
-
-void Raid6Controller::OnClientStart() {
-  if (outstanding_clients_++ == 0) {
-    idle_detector_->NoteBusy();
-  }
-}
-
-void Raid6Controller::OnClientEnd() {
-  assert(outstanding_clients_ > 0);
-  if (--outstanding_clients_ == 0) {
-    idle_detector_->NoteIdle();
+void Raid6Controller::SetParityStale(int64_t stripe, int32_t which, bool stale) {
+  const int64_t key = stripe * 2 + which;
+  if (stale ? MarkStale(key) : ClearStale(key)) {
+    (which == 0 ? stale_p_ : stale_q_) += stale ? 1 : -1;
   }
 }
 
 int32_t Raid6Controller::DegradedReadParity(int64_t stripe, bool* lost) const {
-  const bool p_fresh = !p_stale_.IsDirty(stripe);
-  const bool q_fresh = !q_stale_.IsDirty(stripe);
+  const bool p_fresh = !ParityStale(stripe, 0);
+  const bool q_fresh = !ParityStale(stripe, 1);
   // Reconstruct through P when it is live, through Q when only P is stale
   // (same I/O count either way). With both stale the bytes returned are not
   // what the client wrote; P is still read to model the attempt's traffic.
@@ -179,11 +150,6 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
           u64_pool_.Release(dq);
         }
         locks_.Release(stripe, LockMode::kExclusive);
-        // Deferred parity work may now be pending.
-        if (mode_ != Raid6Mode::kSynchronous && q_stale_.DirtyCount() > 0 &&
-            drain_done_ != nullptr && !rebuilding_) {
-          MaybeStartRebuild();
-        }
         group_join->Dec(true);
       });
       for (const Segment& seg : segs) {
@@ -239,15 +205,13 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
     };
 
     // Staleness marking happens before data hits the disk.
-    switch (mode_) {
-      case Raid6Mode::kSynchronous:
-        break;
-      case Raid6Mode::kDeferQ:
-        MarkStale(stripe, /*p=*/false, /*q=*/true);
-        break;
-      case Raid6Mode::kDeferBoth:
-        MarkStale(stripe, /*p=*/true, /*q=*/true);
-        break;
+    if (mode_ != Raid6Mode::kSynchronous) {
+      if (mode_ == Raid6Mode::kDeferBoth) {
+        SetParityStale(stripe, 0, true);
+      }
+      SetParityStale(stripe, 1, true);
+      max_stale_stripes_ = std::max(max_stale_stripes_, stale_q_);
+      UpdateExposure();
     }
 
     // Pre-read phase: old data for every written segment, plus old P/Q spans
@@ -291,64 +255,20 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
   });
 }
 
-void Raid6Controller::MaybeStartRebuild() {
-  // No background parity freshening while a disk is missing or the sweep is
-  // repopulating a replacement: the stale stripes need the failure machinery's
-  // reconstruct logic, not a delta rebuild against garbage blocks.
-  if (failed_disk_ >= 0 || recovering_disk_ >= 0) {
-    return;
-  }
-  if (rebuilding_ || q_stale_.DirtyCount() == 0) {
-    if (!rebuilding_ && drain_done_ != nullptr && q_stale_.DirtyCount() == 0) {
-      auto done = std::move(drain_done_);
-      drain_done_ = nullptr;
-      done();
-    }
-    return;
-  }
-  rebuilding_ = true;
-  RebuildNext();
-}
-
-void Raid6Controller::RebuildNext() {
-  const int64_t stripe = q_stale_.NextDirty(rebuild_cursor_);
-  if (stripe < 0) {
-    rebuilding_ = false;
-    if (drain_done_ != nullptr) {
-      auto done = std::move(drain_done_);
-      drain_done_ = nullptr;
-      done();
-    }
-    return;
-  }
-  JoinBlock* step_join = joins_.Make(1, [this, stripe](bool) {
-    rebuild_cursor_ = stripe + 1;
-    ++stripes_rebuilt_;
-    const bool keep_going = drain_done_ != nullptr || outstanding_clients_ == 0;
-    if (keep_going && q_stale_.DirtyCount() > 0) {
-      RebuildNext();
-    } else {
-      rebuilding_ = false;
-      if (drain_done_ != nullptr && q_stale_.DirtyCount() == 0) {
-        auto done = std::move(drain_done_);
-        drain_done_ = nullptr;
-        done();
-      }
-    }
-  });
-  RebuildStripe(stripe, step_join);
-}
-
-void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
+void Raid6Controller::RefreshKey(int64_t key, JoinBlock* step_join) {
+  const int64_t stripe = key / 2;
   locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe, step_join] {
     const int32_t n = layout_->data_blocks_per_stripe();
     const int64_t unit = layout_->stripe_unit();
-    const bool p_needed = p_stale_.IsDirty(stripe);
+    const bool p_needed = ParityStale(stripe, 0);
 
     auto writes = [this, stripe, unit, n, p_needed, step_join](bool) {
       JoinBlock* join =
           joins_.Make(p_needed ? 2 : 1, [this, stripe, step_join](bool) {
-            ClearStale(stripe);
+            SetParityStale(stripe, 0, false);
+            SetParityStale(stripe, 1, false);
+            UpdateExposure();
+            ++stripes_rebuilt_;
             locks_.Release(stripe, LockMode::kExclusive);
             step_join->Dec(true);
           });
@@ -388,18 +308,6 @@ void Raid6Controller::RebuildStripe(int64_t stripe, JoinBlock* step_join) {
   });
 }
 
-void Raid6Controller::RebuildAll(std::function<void()> done) {
-  if (q_stale_.DirtyCount() == 0) {
-    sim_->After(0, std::move(done));
-    return;
-  }
-  drain_done_ = std::move(done);
-  if (!rebuilding_) {
-    rebuilding_ = true;
-    RebuildNext();
-  }
-}
-
 // --- Degraded writes and the sweep step -------------------------------------------
 
 void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
@@ -430,7 +338,7 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
     // and both parities were stale when the disk died, the recompute below
     // enshrines a value nobody can vouch for: that block's old bytes are lost
     // (Section 3.2's small-loss mode, RAID 6 flavour).
-    if (p_stale_.IsDirty(stripe) && q_stale_.IsDirty(stripe)) {
+    if (ParityStale(stripe, 0) && ParityStale(stripe, 1)) {
       for (int32_t j = 0; j < n; ++j) {
         if ((written & (1ull << j)) != 0) {
           continue;
@@ -468,12 +376,12 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
       }
     }
     if (p_avail) {
-      p_stale_.Clear(stripe);
+      SetParityStale(stripe, 0, false);
     }
-    // q_stale_ must stay a superset of p_stale_ (UpdateExposure's subtraction
-    // relies on it), so Q only goes fresh once P is fresh too.
-    if (q_avail && !p_stale_.IsDirty(stripe)) {
-      q_stale_.Clear(stripe);
+    // Stale Q slots must stay a superset of stale P slots (UpdateExposure's
+    // subtraction relies on it), so Q only goes fresh once P is fresh too.
+    if (q_avail && !ParityStale(stripe, 0)) {
+      SetParityStale(stripe, 1, false);
     }
     UpdateExposure();
     ++sync_mode_writes_;
@@ -547,8 +455,8 @@ void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target) {
     }
   }
   assert((j_target >= 0) != (parity_target >= 0));
-  const bool p_stale = p_stale_.IsDirty(stripe);
-  const bool q_stale = q_stale_.IsDirty(stripe);
+  const bool p_stale = ParityStale(stripe, 0);
+  const bool q_stale = ParityStale(stripe, 1);
   // The sweep leaves every stripe behind the frontier fully redundant: it
   // rewrites the replaced disk's block plus any parity that was stale.
   const bool write_p = parity_target == 0 || p_stale;
@@ -601,10 +509,10 @@ void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target) {
 
   auto advance = [this, stripe, write_p, write_q](bool) {
     if (write_p) {
-      p_stale_.Clear(stripe);
+      SetParityStale(stripe, 0, false);
     }
     if (write_q) {
-      q_stale_.Clear(stripe);
+      SetParityStale(stripe, 1, false);
     }
     UpdateExposure();
     StripeReconstructed(stripe);
@@ -673,8 +581,6 @@ const char* Raid6Controller::SchemeName() const {
 
 SchemeState Raid6Controller::State() const {
   SchemeState st = ArrayEngine::State();
-  st.rebuild_active = rebuilding_;
-  st.dirty_marks = StaleP() + StaleQ();
   st.parity_lag_bytes = both_stale_.Current();
   return st;
 }

@@ -16,8 +16,11 @@
 //   kDeferBoth   -- pure AFRAID write (1 I/O); both parities rebuilt in idle.
 //
 // P is the xor parity; Q is the GF(256) Reed-Solomon parity
-// Q = sum_j g^j D_j (see array/gf256.h). Per-stripe staleness is tracked in
-// two NVRAM bitmaps (2 bits per stripe, vs AFRAID's 1).
+// Q = sum_j g^j D_j (see array/gf256.h). Per-stripe staleness lives in the
+// engine's one stale-mark store with two slots per stripe, P and Q (2 NVRAM
+// bits per stripe, vs AFRAID's 1); Q is stale whenever P is. The engine's
+// refresh driver runs the idle-time passes; this controller supplies the
+// P+Q stripe step and the idle-only start rule.
 //
 // Failure handling on top of the engine (array/array_engine.h): degraded
 // reads reconstruct through P when fresh, through Q when only P is stale;
@@ -30,13 +33,9 @@
 #define AFRAID_CORE_RAID6_CONTROLLER_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "array/array_engine.h"
-#include "array/idle_detector.h"
-#include "array/nvram.h"
 #include "stats/time_weighted.h"
 
 namespace afraid {
@@ -55,9 +54,6 @@ class Raid6Controller : public ArrayEngine {
                   Probe probe = {});
   ~Raid6Controller() override;
 
-  // Forces both parities of every stale stripe fresh; for tests/quiesce.
-  void RebuildAll(std::function<void()> done);
-
   // --- ArrayScheme interface ---
   const char* SchemeName() const override;
   std::string PolicyLabel() const override { return Raid6ModeName(mode_); }
@@ -66,8 +62,8 @@ class Raid6Controller : public ArrayEngine {
 
   // --- Introspection ---
   Raid6Mode mode() const { return mode_; }
-  int64_t StaleP() const { return p_stale_.DirtyCount(); }
-  int64_t StaleQ() const { return q_stale_.DirtyCount(); }
+  int64_t StaleP() const { return stale_p_; }
+  int64_t StaleQ() const { return stale_q_; }
   // Background P+Q refreshes plus stripes restored by reconstruction sweeps.
   uint64_t StripesRebuilt() const { return stripes_rebuilt_ + stripes_reconstructed_; }
   // Time-average bytes covered by fewer than 2 / fewer than 1 parities.
@@ -85,38 +81,45 @@ class Raid6Controller : public ArrayEngine {
 
  private:
   // --- Engine hooks ---
-  void OnClientStart() override;
-  void OnClientEnd() override;
   // The mode's write path; DegradedWriteStripe while a disk is out.
   void WriteStripeGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                         JoinBlock* group_join) override;
   // P when it is live, Q when only P is stale; lost when both are stale.
   int32_t DegradedReadParity(int64_t stripe, bool* lost) const override;
   void ReconstructStripe(int64_t stripe, int32_t target) override;
-  void OnReconstructionDone() override { MaybeStartRebuild(); }
+  // Idle time only: a pass starts when the idle timer fires or the sweep
+  // finishes, and yields to the next client request between stripes.
+  bool WantRefresh(RefreshCue cue) override {
+    return cue == RefreshCue::kStep ? !ArrayBusy() : cue != RefreshCue::kActivity;
+  }
+  // One step refreshes both slots of a stripe, so the cursor steps whole
+  // stripes: hand out the stripe's Q key (Q is stale whenever P is).
+  int64_t NextRefreshKey(int64_t from) const override {
+    const int64_t key = ArrayEngine::NextRefreshKey(from);
+    return key < 0 ? key : key | 1;
+  }
+  // Recomputes a stale P (if any) and Q from the data under the stripe lock.
+  void RefreshKey(int64_t key, JoinBlock* step_join) override;
+  const char* RefreshStepName() const override { return "stripe"; }
 
   // Degraded write: synchronous full-stripe P+Q recompute around the
   // unavailable disk (the RAID 6 analogue of AFRAID's forced RAID 5 mode).
   void DegradedWriteStripe(uint64_t request_id, int64_t stripe,
                            Span<Segment> segs, JoinBlock* group_join);
-  void MaybeStartRebuild();
-  void RebuildNext();
-  void RebuildStripe(int64_t stripe, JoinBlock* step_join);
-  void MarkStale(int64_t stripe, bool p, bool q);
-  void ClearStale(int64_t stripe);
+  // Stale slots: key stripe * 2 + which (0 = P, 1 = Q).
+  bool ParityStale(int64_t stripe, int32_t which) const {
+    return nvram_.IsDirty(stripe * 2 + which);
+  }
+  // Marks or clears one parity's slot, keeping the per-parity counts; the
+  // caller then runs UpdateExposure.
+  void SetParityStale(int64_t stripe, int32_t which, bool stale);
   void UpdateExposure();
 
   Raid6Mode mode_;
-  NvramBitmap p_stale_;
-  NvramBitmap q_stale_;
-  std::unique_ptr<IdleDetector> idle_detector_;
-
-  int32_t outstanding_clients_ = 0;
-  bool rebuilding_ = false;
+  int64_t stale_p_ = 0;
+  int64_t stale_q_ = 0;
   int64_t max_stale_stripes_ = 0;
-  int64_t rebuild_cursor_ = 0;
   uint64_t stripes_rebuilt_ = 0;  // Background P+Q refreshes.
-  std::function<void()> drain_done_;
 
   uint64_t deferred_mode_writes_ = 0;  // Stripe writes with deferred parity.
   uint64_t sync_mode_writes_ = 0;      // Stripe writes with in-path parity.

@@ -105,7 +105,7 @@ struct ShardReport {
   double p99_ms = 0.0;
   double max_ms = 0.0;
   double duration_s = 0.0;
-  double disk_utilization = 0.0;  // AFRAID-family shards only.
+  double disk_utilization = 0.0;  // Mean busy fraction over the shard's disks.
   double mean_parity_lag_bytes = 0.0;
   double t_unprot_fraction = 0.0;
   uint64_t stripes_rebuilt = 0;

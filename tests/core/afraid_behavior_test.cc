@@ -1,13 +1,17 @@
 // AFRAID-specific behaviour: marking, idle-triggered rebuilds, preemption,
-// parity-lag accounting, paritypoints, and the policy machinery.
+// parity-lag accounting, paritypoints, and the policy machinery -- plus the
+// engine's deferred-redundancy loop on every scheme that defers redundancy.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "array/host_driver.h"
+#include "array/scheme.h"
 #include "core/afraid_controller.h"
 #include "core/experiment.h"
+#include "core/scheme_registry.h"
 #include "sim/simulator.h"
 
 namespace afraid {
@@ -57,17 +61,93 @@ TEST_F(AfraidRig, ParityLagCountsWholeStripes) {
   EXPECT_DOUBLE_EQ(ctl_->CurrentParityLagBytes(), 4.0 * 8192.0);
 }
 
-TEST_F(AfraidRig, IdleRebuildAfterConfiguredDelay) {
+// The engine's refresh loop (stale marks, idle trigger, refresh passes) on
+// every scheme that defers redundancy, seen only through SchemeState.
+class DeferredRefreshTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void Build(const ArrayConfig& base) {
+    const ArrayConfig cfg = SchemeRegistry::Normalize(GetParam(), base);
+    SchemeContext ctx{&sim_, cfg, PolicySpec::AfraidBaseline(), AvailabilityParamsFor(cfg),
+                      Probe()};
+    ctl_ = SchemeRegistry::Create(GetParam(), ctx);
+    ASSERT_NE(ctl_, nullptr);
+    driver_ = std::make_unique<HostDriver>(&sim_, ctl_.get(), cfg.MaxActive());
+  }
+  int64_t StripeBytes() const {
+    return ctl_->layout().data_blocks_per_stripe() * ctl_->layout().stripe_unit();
+  }
+  void Drain() {
+    while (!driver_->Drained()) {
+      ASSERT_TRUE(sim_.Step());
+    }
+  }
+
+  Simulator sim_;
+  std::unique_ptr<ArrayScheme> ctl_;
+  std::unique_ptr<HostDriver> driver_;
+};
+
+TEST_P(DeferredRefreshTest, IdleRefreshAfterConfiguredDelay) {
   ArrayConfig cfg = TinyConfig();
   cfg.idle_delay = Milliseconds(250);
-  Build(PolicySpec::AfraidBaseline(), cfg);
+  Build(cfg);
   driver_->Submit(0, 8192, true);
-  sim_.RunToEnd();  // Write finishes, 250 ms later the rebuild runs.
-  EXPECT_EQ(ctl_->nvram().DirtyCount(), 0);
-  EXPECT_EQ(ctl_->StripesRebuilt(), 1u);
-  EXPECT_DOUBLE_EQ(ctl_->CurrentParityLagBytes(), 0.0);
-  EXPECT_TRUE(ctl_->content()->StripeConsistent(0));
+  Drain();
+  ASSERT_GT(ctl_->State().dirty_marks, 0);
+  // Nothing refreshes until the array has been idle for the full delay.
+  sim_.RunUntil(sim_.Now() + Milliseconds(249));
+  EXPECT_GT(ctl_->State().dirty_marks, 0);
+  EXPECT_FALSE(ctl_->State().rebuild_active);
+  sim_.RunUntil(sim_.Now() + Milliseconds(2));
+  EXPECT_TRUE(ctl_->State().rebuild_active);
+  sim_.RunToEnd();
+  EXPECT_EQ(ctl_->State().dirty_marks, 0);
+  EXPECT_FALSE(ctl_->State().rebuild_active);
+  EXPECT_DOUBLE_EQ(ctl_->State().parity_lag_bytes, 0.0);
 }
+
+TEST_P(DeferredRefreshTest, RefreshPreemptedByForegroundBetweenSteps) {
+  Build(TinyConfig());
+  for (int i = 0; i < 12; ++i) {
+    driver_->Submit(i * StripeBytes(), 8192, true);
+  }
+  Drain();
+  const int64_t marked = ctl_->State().dirty_marks;
+  ASSERT_GT(marked, 0);
+  // The idle timer starts a pass; a queued burst of reads arrives during its
+  // first step and keeps the array busy past that step's end...
+  while (!ctl_->State().rebuild_active) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  for (int i = 0; i < 24; ++i) {
+    driver_->Submit((100 + i) * StripeBytes(), 8192, false);
+  }
+  // ...so the pass yields at the step boundary with work left.
+  while (ctl_->State().rebuild_active) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  EXPECT_FALSE(driver_->Drained());
+  EXPECT_LT(ctl_->State().dirty_marks, marked);
+  EXPECT_GT(ctl_->State().dirty_marks, 0);
+  // The next idle period drains the rest.
+  sim_.RunToEnd();
+  EXPECT_EQ(ctl_->State().dirty_marks, 0);
+  EXPECT_FALSE(ctl_->State().rebuild_active);
+}
+
+std::string SchemeParamName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(DeferredSchemes, DeferredRefreshTest,
+                         ::testing::Values("afraid", "raid6-deferQ", "raid6-deferPQ"),
+                         SchemeParamName);
 
 TEST_F(AfraidRig, RebuildCoalescesAdjacentStripesInOrder) {
   Build();
@@ -79,33 +159,6 @@ TEST_F(AfraidRig, RebuildCoalescesAdjacentStripesInOrder) {
   sim_.RunToEnd();
   EXPECT_EQ(ctl_->StripesRebuilt(), 4u);
   EXPECT_EQ(ctl_->nvram().DirtyCount(), 0);
-}
-
-TEST_F(AfraidRig, RebuildPreemptedByForegroundBetweenStripes) {
-  Build();
-  // Dirty a lot of stripes, let the rebuild start, then inject a client
-  // request: the pass must stop early (baseline policy: idle-only).
-  for (int i = 0; i < 12; ++i) {
-    driver_->Submit(i * 4 * 8192, 8192, true);
-  }
-  sim_.RunToEnd();
-  ASSERT_EQ(ctl_->nvram().DirtyCount(), 0);  // All rebuilt eventually.
-
-  for (int i = 0; i < 12; ++i) {
-    driver_->Submit(i * 4 * 8192, 8192, true);
-  }
-  // Run until just after the idle detector fires and one or two stripes
-  // rebuild, then submit a burst of reads.
-  const uint64_t rebuilt_before = ctl_->StripesRebuilt();
-  sim_.RunUntil(sim_.Now() + Milliseconds(160));
-  driver_->Submit(100 * 4 * 8192, 8192, false);
-  driver_->Submit(101 * 4 * 8192, 8192, false);
-  sim_.RunUntil(sim_.Now() + Milliseconds(30));
-  // Rebuild stopped with work remaining (preempted between stripes).
-  EXPECT_GT(ctl_->nvram().DirtyCount(), 0);
-  sim_.RunToEnd();
-  EXPECT_EQ(ctl_->nvram().DirtyCount(), 0);
-  EXPECT_GT(ctl_->StripesRebuilt(), rebuilt_before);
 }
 
 TEST_F(AfraidRig, ConcurrentWritesToOneStripeProceedInParallel) {

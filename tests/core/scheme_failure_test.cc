@@ -207,8 +207,13 @@ TEST_P(SchemeFailureTest, MistimedManagementOpsAreRefusedWithoutStateChange) {
 
   EXPECT_TRUE(ctl_->FailDisk(0));
   EXPECT_FALSE(ctl_->FailDisk(1));   // One failure at a time.
+  // A parity scrub over a dead or not yet reconstructed disk cannot restore
+  // redundancy, so it must not claim to.
+  EXPECT_FALSE(ctl_->StartFullScrub([] {}));
   EXPECT_FALSE(ctl_->ReplaceDisk(1));  // Wrong disk.
   EXPECT_TRUE(ctl_->ReplaceDisk(0));
+  EXPECT_FALSE(ctl_->StartFullScrub([] {}));
+  EXPECT_EQ(ctl_->State().recovering_disk, 0);
   bool done = false;
   EXPECT_TRUE(ctl_->StartReconstruction([&done] { done = true; }));
   EXPECT_FALSE(ctl_->StartReconstruction([] {}));  // Already sweeping.
