@@ -12,6 +12,8 @@
 #include "core/afraid_controller.h"
 #include "core/experiment.h"
 #include "core/scheme_registry.h"
+#include "obs/probe.h"
+#include "obs/tracer.h"
 #include "sim/simulator.h"
 
 namespace afraid {
@@ -133,6 +135,59 @@ TEST_P(DeferredRefreshTest, RefreshPreemptedByForegroundBetweenSteps) {
   sim_.RunToEnd();
   EXPECT_EQ(ctl_->State().dirty_marks, 0);
   EXPECT_FALSE(ctl_->State().rebuild_active);
+}
+
+// A drill fails and replaces a disk at one instant (ExposureModel::
+// FailureDrill does), here while a refresh step is in flight. The pass must
+// stop at that step: another step would read the blank replacement, rewrite
+// redundancy from it and clear the stale marks the sweep needs. Every victim
+// disk and several instants into the pass, so some step survives the
+// failure with its own reads and writes intact.
+TEST_P(DeferredRefreshTest, RefreshPassStopsAtADiskReplacedMidStep) {
+  int32_t trials = 0;
+  for (int32_t victim = 0; victim < 5; ++victim) {
+    for (int32_t events = 1; events <= 16; ++events) {
+      Simulator sim;
+      Tracer tracer;
+      const ArrayConfig cfg = SchemeRegistry::Normalize(GetParam(), TinyConfig());
+      SchemeContext ctx{&sim, cfg, PolicySpec::AfraidBaseline(),
+                        AvailabilityParamsFor(cfg), Probe(&tracer)};
+      std::unique_ptr<ArrayScheme> ctl = SchemeRegistry::Create(GetParam(), ctx);
+      ASSERT_NE(ctl, nullptr);
+      HostDriver driver(&sim, ctl.get(), cfg.MaxActive());
+      const int64_t stripe_bytes =
+          ctl->layout().data_blocks_per_stripe() * ctl->layout().stripe_unit();
+      for (int i = 0; i < 12; ++i) {
+        driver.Submit(i * stripe_bytes, 8192, true);
+      }
+      while (!ctl->State().rebuild_active) {
+        ASSERT_TRUE(sim.Step());
+      }
+      for (int32_t e = 0; e < events && ctl->State().rebuild_active; ++e) {
+        ASSERT_TRUE(sim.Step());
+      }
+      if (!ctl->State().rebuild_active) {
+        continue;
+      }
+      ASSERT_TRUE(ctl->FailDisk(victim));
+      const SimTime replaced_at = sim.Now();
+      ASSERT_TRUE(ctl->ReplaceDisk(victim));
+      SimTime recovered_at = -1;
+      ASSERT_TRUE(ctl->StartReconstruction([&] { recovered_at = sim.Now(); }));
+      sim.RunToEnd();
+      ASSERT_GE(recovered_at, replaced_at);
+      ++trials;
+      int32_t steps_during_recovery = 0;
+      for (const TraceEvent& ev : tracer.events()) {
+        steps_during_recovery +=
+            ev.phase == 'X' && tracer.tracks()[static_cast<size_t>(ev.track)] == "rebuild" &&
+            ev.ts > replaced_at && ev.ts <= recovered_at;
+      }
+      EXPECT_EQ(steps_during_recovery, 0)
+          << "disk" << victim << " replaced " << events << " events into the pass";
+    }
+  }
+  EXPECT_GT(trials, 0);
 }
 
 std::string SchemeParamName(const ::testing::TestParamInfo<std::string>& info) {
