@@ -51,6 +51,9 @@ class StripeLockTable {
   // True if anyone holds or awaits the stripe (used by tests).
   bool Busy(int64_t stripe) const { return stripes_.contains(stripe); }
 
+  // True if no stripe is held or awaited.
+  bool Empty() const { return stripes_.empty(); }
+
   // True if an exclusive hold is active on the stripe.
   bool HeldExclusive(int64_t stripe) const {
     auto it = stripes_.find(stripe);

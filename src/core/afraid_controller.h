@@ -129,7 +129,7 @@ class AfraidController : public ArrayEngine {
                         JoinBlock* group_join) override {
     RunStripeWriteGroup(request_id, stripe, segs, 0, group_join);
   }
-  void ReconstructStripe(int64_t stripe, int32_t target) override;
+  void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) override;
   bool WantRefresh(RefreshCue cue) override;
   bool Refreshable(int64_t key) const override {
     return RegionClassOf(key / BandsPerStripe()) != RedundancyClass::kNeverParity;

@@ -140,7 +140,8 @@ void MirrorController::BlankReplacedDisk(int32_t disk) {
   }
 }
 
-void MirrorController::ReconstructStripe(int64_t stripe, int32_t target) {
+void MirrorController::ReconstructStripe(int64_t stripe, int32_t target,
+                                         SweepStep* step) {
   const int32_t side = target % 2;
   const int32_t twin = side == 0 ? target + 1 : target - 1;
   const int64_t unit = layout_->stripe_unit();
@@ -157,12 +158,8 @@ void MirrorController::ReconstructStripe(int64_t stripe, int32_t target) {
       }
     }
   }
-  IssueDiskOp(twin, stripe * unit, unit, /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
-              [this, stripe, target, unit](bool) {
-                IssueDiskOp(target, stripe * unit, unit, /*is_write=*/true,
-                            DiskOpPurpose::kRecoveryWrite,
-                            [this, stripe](bool) { StripeReconstructed(stripe); });
-              });
+  step->reads.push_back(BlockLoc{twin, stripe * unit});
+  step->writes.push_back(BlockLoc{target, stripe * unit});
 }
 
 SchemeStats MirrorController::Stats() const {

@@ -208,7 +208,8 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
 
 // --- Reconstruction sweep step ----------------------------------------------------
 
-void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target) {
+void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target,
+                                            SweepStep* step) {
   const int32_t j_target = DataBlockOn(stripe, target);
   // Logical recovery first, under the lock. Parity is always live (the
   // images are durable), so both directions are exact: no loss mode.
@@ -225,8 +226,9 @@ void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target) {
       content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
     }
   }
-  RebuildUnitFromPeers(stripe, target, j_target,
-                       [this, stripe](bool) { StripeReconstructed(stripe); });
+  AddPeerReads(stripe, j_target, 0, step);
+  step->writes.push_back(j_target >= 0 ? layout_->DataLocation(stripe, j_target)
+                                       : layout_->ParityLocation(stripe));
 }
 
 SchemeState ParityLogController::State() const {

@@ -443,7 +443,8 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
   });
 }
 
-void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target) {
+void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target,
+                                        SweepStep* step) {
   const int32_t n = layout_->data_blocks_per_stripe();
   const int64_t unit = layout_->stripe_unit();
   const int32_t j_target = DataBlockOn(stripe, target);
@@ -507,7 +508,20 @@ void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target) {
     }
   }
 
-  auto advance = [this, stripe, write_p, write_q](bool) {
+  // Timing: n reads either way (n-1 survivors + a live parity for a data
+  // target; all n data blocks for a parity target), then the target write
+  // plus any refreshed parity.
+  AddPeerReads(stripe, j_target, (!p_stale || q_stale) ? 0 : 1, step);
+  if (j_target >= 0) {
+    step->writes.push_back(layout_->DataLocation(stripe, j_target));
+  }
+  if (write_p) {
+    step->writes.push_back(layout_->ParityLocation(stripe, 0));
+  }
+  if (write_q) {
+    step->writes.push_back(layout_->ParityLocation(stripe, 1));
+  }
+  step->finish = [this, stripe, write_p, write_q] {
     if (write_p) {
       SetParityStale(stripe, 0, false);
     }
@@ -515,54 +529,7 @@ void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target) {
       SetParityStale(stripe, 1, false);
     }
     UpdateExposure();
-    StripeReconstructed(stripe);
   };
-
-  // Timing: n reads either way (n-1 survivors + a live parity for a data
-  // target; all n data blocks for a parity target), then the target write
-  // plus any refreshed parity.
-  const int32_t writes =
-      (j_target >= 0 ? 1 : 0) + (write_p ? 1 : 0) + (write_q ? 1 : 0);
-  const int64_t target_off =
-      j_target >= 0 ? layout_->DataLocation(stripe, j_target).byte_offset : 0;
-  auto write_phase = [this, stripe, unit, target, target_off, j_target,
-                      write_p, write_q, writes, advance](bool) {
-    JoinBlock* join = joins_.Make(writes, advance);
-    if (j_target >= 0) {
-      IssueDiskOp(target, target_off, unit, /*is_write=*/true,
-                  DiskOpPurpose::kRecoveryWrite, [join](bool) { join->Dec(true); });
-    }
-    if (write_p) {
-      const BlockLoc pl = layout_->ParityLocation(stripe, 0);
-      IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true,
-                  DiskOpPurpose::kRecoveryWrite, [join](bool) { join->Dec(true); });
-    }
-    if (write_q) {
-      const BlockLoc ql = layout_->ParityLocation(stripe, 1);
-      IssueDiskOp(ql.disk, ql.byte_offset, unit, /*is_write=*/true,
-                  DiskOpPurpose::kRecoveryWrite, [join](bool) { join->Dec(true); });
-    }
-  };
-  JoinBlock* read_join = joins_.Make(n, std::move(write_phase));
-  if (j_target >= 0) {
-    for (int32_t j = 0; j < n; ++j) {
-      if (j == j_target) {
-        continue;
-      }
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
-                  DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe, (!p_stale || q_stale) ? 0 : 1);
-    IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/false,
-                DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
-  } else {
-    for (int32_t j = 0; j < n; ++j) {
-      const BlockLoc dl = layout_->DataLocation(stripe, j);
-      IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
-                  DiskOpPurpose::kRecoveryRead, [read_join](bool) { read_join->Dec(true); });
-    }
-  }
 }
 
 // --- ArrayScheme snapshots --------------------------------------------------------

@@ -86,7 +86,7 @@ class Raid6Controller : public ArrayEngine {
                         JoinBlock* group_join) override;
   // P when it is live, Q when only P is stale; lost when both are stale.
   int32_t DegradedReadParity(int64_t stripe, bool* lost) const override;
-  void ReconstructStripe(int64_t stripe, int32_t target) override;
+  void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) override;
   // Idle time only: a pass starts when the idle timer fires or the sweep
   // finishes, and yields to the next client request between stripes.
   bool WantRefresh(RefreshCue cue) override {

@@ -109,6 +109,15 @@ class DiskModel {
   ServiceBreakdown ComputeService(SimTime start, const DiskOp& op,
                                   int32_t from_cylinder, int32_t* end_cylinder) const;
 
+  // Inline service of one op on an idle disk, for a caller that timed it
+  // with ComputeService and knows no event can run before it finishes
+  // (ArrayEngine's sweep on a quiescent array, DESIGN.md §17): the state,
+  // statistics and queue-depth counter updates Submit + StartNext and then
+  // CompleteSlot make, without the events. BeginInline at the start (the arm
+  // moves to `end_cylinder`), EndInline at the finish.
+  void BeginInline(SimTime start, int32_t end_cylinder);
+  void EndInline(SimTime start, SimTime finish, int32_t sectors);
+
   // Lifetime statistics.
   uint64_t OpsCompleted() const { return ops_completed_; }
   int64_t SectorsTransferred() const { return sectors_transferred_; }
@@ -149,6 +158,8 @@ class DiskModel {
   void StartNext();
   // Completion event of a started op.
   void CompleteSlot(int32_t index);
+  // The statistics of an op that completed on the live mechanism.
+  void CountCompleted(SimTime start, SimTime finish, int32_t sectors);
   // Completion event of an op failed before service (queued at Fail(), or
   // submitted to a failed disk).
   void FailSlot(int32_t index);

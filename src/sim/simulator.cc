@@ -3,6 +3,8 @@
 namespace afraid {
 
 void Simulator::RunUntil(SimTime deadline) {
+  const SimTime outer = deadline_;
+  deadline_ = std::min(deadline, outer);
   while (!queue_.Empty()) {
     const SimTime next = queue_.NextTime();
     if (next > deadline) {
@@ -13,6 +15,7 @@ void Simulator::RunUntil(SimTime deadline) {
     ++events_processed_;
     fired.fn();
   }
+  deadline_ = outer;
   if (now_ < deadline) {
     now_ = deadline;
   }

@@ -9,6 +9,7 @@
 #ifndef AFRAID_SIM_SIMULATOR_H_
 #define AFRAID_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -64,6 +65,22 @@ class Simulator {
   // Time of the next pending event (kSimTimeNever if none).
   SimTime NextEventTime() const { return queue_.NextTime(); }
 
+  // The latest time an event handler may move the clock to with AdvanceTo:
+  // strictly before the next pending event, and no later than the deadline
+  // of the running RunUntil (none under RunToEnd or a bare Step). A handler
+  // that computes work in place of events it would otherwise schedule stays
+  // within it, so no other event could have run in between.
+  SimTime Horizon() const {
+    const SimTime next = queue_.NextTime();
+    return std::min(deadline_, next == kSimTimeNever ? next : next - 1);
+  }
+
+  // Moves the clock forward to `t`, which must not pass Horizon().
+  void AdvanceTo(SimTime t) {
+    assert(t >= now_ && t <= Horizon());
+    now_ = t;
+  }
+
   // Returns the simulator to its just-constructed state: clock at 0, no
   // pending events, counters cleared. Event-queue slot storage is retained,
   // so a reset simulator re-runs without reallocating — this is what lets a
@@ -72,11 +89,13 @@ class Simulator {
     queue_.Clear();
     now_ = 0;
     events_processed_ = 0;
+    deadline_ = kSimTimeNever;
   }
 
  private:
   EventQueue queue_;
   SimTime now_ = 0;
+  SimTime deadline_ = kSimTimeNever;  // Of the running RunUntil.
   uint64_t events_processed_ = 0;
 };
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,9 +19,11 @@
 #include "array/scheme.h"
 #include "core/experiment.h"
 #include "core/scheme_registry.h"
+#include "disk/disk_model.h"
 #include "obs/probe.h"
 #include "obs/tracer.h"
 #include "sim/simulator.h"
+#include "stats/streaming.h"
 
 namespace afraid {
 namespace {
@@ -37,24 +40,49 @@ ArrayConfig TinyConfig() {
 }
 
 // Parameters are "<scheme>" or "<scheme>+declustered": the latter runs the
-// identical end-to-end exercise with the declustered parity layout.
+// identical end-to-end exercise with the declustered parity layout. Sets
+// `*scheme` to the registry name and returns the normalised configuration.
+ArrayConfig ConfigFor(std::string param, std::string* scheme) {
+  ArrayConfig base = TinyConfig();
+  const auto plus = param.find('+');
+  if (plus != std::string::npos) {
+    EXPECT_EQ(param.substr(plus + 1), "declustered");
+    base.layout = LayoutKind::kDeclustered;
+    param = param.substr(0, plus);
+  }
+  *scheme = param;
+  return SchemeRegistry::Normalize(param, base);
+}
+
+// One array of scheme-and-layout `param`, traced, behind a host driver.
+struct Rig {
+  explicit Rig(const std::string& param) {
+    cfg = ConfigFor(param, &scheme);
+    SchemeContext ctx{&sim, cfg, PolicySpec::AfraidBaseline(), AvailabilityParamsFor(cfg),
+                      Probe(&tracer)};
+    ctl = SchemeRegistry::Create(scheme, ctx);
+    if (ctl != nullptr) {
+      driver = std::make_unique<HostDriver>(&sim, ctl.get(), 5);
+    }
+  }
+
+  std::string scheme;  // Registry name, layout suffix stripped.
+  ArrayConfig cfg;
+  Simulator sim;
+  Tracer tracer;
+  std::unique_ptr<ArrayScheme> ctl;
+  std::unique_ptr<HostDriver> driver;
+};
+
 class SchemeFailureTest : public ::testing::TestWithParam<std::string> {
  protected:
   void Build() {
-    scheme_ = GetParam();
-    ArrayConfig base = TinyConfig();
-    const auto plus = scheme_.find('+');
-    if (plus != std::string::npos) {
-      ASSERT_EQ(scheme_.substr(plus + 1), "declustered");
-      base.layout = LayoutKind::kDeclustered;
-      scheme_ = scheme_.substr(0, plus);
-    }
-    cfg_ = SchemeRegistry::Normalize(scheme_, base);
+    cfg_ = ConfigFor(GetParam(), &scheme_);
     SchemeContext ctx{&sim_, cfg_, PolicySpec::AfraidBaseline(),
                       AvailabilityParamsFor(cfg_), Probe(&tracer_)};
     ctl_ = SchemeRegistry::Create(scheme_, ctx);
     ASSERT_NE(ctl_, nullptr);
-    if (base.layout == LayoutKind::kDeclustered) {
+    if (cfg_.layout == LayoutKind::kDeclustered) {
       // 5 disks always admit a non-degenerate width; the declustered run
       // must not silently fall back.
       ASSERT_STREQ(ctl_->layout().LayoutName(), "declustered");
@@ -221,6 +249,116 @@ TEST_P(SchemeFailureTest, MistimedManagementOpsAreRefusedWithoutStateChange) {
   EXPECT_TRUE(done);
   EXPECT_EQ(ctl_->State().failed_disk, -1);
   EXPECT_EQ(ctl_->State().recovering_disk, -1);
+}
+
+// What a fail/replace/sweep leaves behind, for comparing two runs of it.
+struct SweepOutcome {
+  SimTime recovered_at = -1;
+  uint64_t sweep_events = 0;  // Simulator events from the replace to recovery.
+  uint64_t stripes_reconstructed = 0;
+  uint64_t loss_events = 0;
+  int64_t bytes_lost = 0;
+  std::vector<uint64_t> disk_ops;
+  std::vector<double> disk_stats;  // Utilization and service-time moments.
+  std::vector<uint64_t> content;
+  std::string trace;
+};
+
+// Seeds content, leaves the last writes' redundancy stale where the scheme
+// defers it, then fails, replaces and sweeps a data disk of stripe 0 with
+// no traffic. With `force_events` a no-op timer, re-armed every 50 us until
+// the sweep is done, leaves no step room to run in place before the next
+// event, so every step takes the event path.
+SweepOutcome FailAndSweep(const std::string& param, bool force_events) {
+  Rig rig(param);
+  SweepOutcome out;
+  if (rig.ctl == nullptr) {
+    ADD_FAILURE() << "unknown scheme " << param;
+    return out;
+  }
+  Simulator& sim = rig.sim;
+  ArrayScheme& ctl = *rig.ctl;
+  for (int64_t i = 0; i < 8; ++i) {
+    rig.driver->Submit(i * 4 * kBlock, kBlock, true);
+    sim.RunToEnd();
+  }
+  for (int64_t i = 0; i < 3; ++i) {
+    rig.driver->Submit(i * 4 * kBlock + kBlock, kBlock, true);
+  }
+  while (!rig.driver->Drained()) {
+    sim.Step();
+  }
+  const int32_t victim = ctl.layout().DataDisk(0, 0);
+  EXPECT_TRUE(ctl.FailDisk(victim));
+  EXPECT_TRUE(ctl.ReplaceDisk(victim));
+  const uint64_t events_before = sim.EventsProcessed();
+  bool done = false;
+  EXPECT_TRUE(ctl.StartReconstruction([&] {
+    done = true;
+    out.recovered_at = sim.Now();
+    out.sweep_events = sim.EventsProcessed() - events_before;
+  }));
+  std::function<void()> tick = [&] {
+    if (!done) {
+      sim.After(Microseconds(50), tick);
+    }
+  };
+  if (force_events) {
+    tick();
+  }
+  sim.RunToEnd();
+  EXPECT_TRUE(done);
+
+  const SchemeStats stats = ctl.Stats();
+  out.stripes_reconstructed = stats.stripes_reconstructed;
+  out.loss_events = stats.loss_events;
+  out.bytes_lost = stats.bytes_lost;
+  for (int32_t d = 0; d < ctl.num_disks(); ++d) {
+    const DiskModel& disk = ctl.disk(d);
+    out.disk_ops.push_back(disk.OpsCompleted());
+    out.disk_ops.push_back(static_cast<uint64_t>(disk.SectorsTransferred()));
+    const StreamingStats& st = disk.ServiceTimes();
+    out.disk_stats.insert(out.disk_stats.end(),
+                          {disk.UtilizationTo(out.recovered_at), static_cast<double>(st.Count()),
+                           st.Mean(), st.Variance(), st.Min(), st.Max()});
+  }
+  const ContentModel* cm = ctl.content();
+  const ArrayLayout& lay = ctl.layout();
+  const int32_t n = lay.data_blocks_per_stripe();
+  const int32_t slots = rig.scheme == "mirror" ? n : lay.parity_blocks();
+  for (int64_t stripe : cm->TouchedStripes()) {
+    for (int32_t s = 0; s < cm->sectors_per_unit(); ++s) {
+      for (int32_t j = 0; j < n; ++j) {
+        out.content.push_back(cm->GetData(stripe, j, s));
+      }
+      for (int32_t w = 0; w < slots; ++w) {
+        out.content.push_back(cm->GetParity(stripe, s, w));
+      }
+    }
+  }
+  out.trace = rig.tracer.ToJson();
+  return out;
+}
+
+// Sweep steps on a quiescent array run in place, without events; the
+// result must be exactly what the event path produces, down to every trace
+// event, disk statistic and content sector.
+TEST_P(SchemeFailureTest, InPlaceSweepMatchesEventPath) {
+  const SweepOutcome in_place = FailAndSweep(GetParam(), false);
+  const SweepOutcome events = FailAndSweep(GetParam(), true);
+  ASSERT_GT(in_place.stripes_reconstructed, 0u);
+  // Each event-path step takes at least a read and a write completion.
+  EXPECT_GE(events.sweep_events, 2 * events.stripes_reconstructed);
+  EXPECT_LT(in_place.sweep_events, in_place.stripes_reconstructed);
+
+  EXPECT_EQ(in_place.recovered_at, events.recovered_at);
+  EXPECT_EQ(in_place.stripes_reconstructed, events.stripes_reconstructed);
+  EXPECT_EQ(in_place.loss_events, events.loss_events);
+  EXPECT_EQ(in_place.bytes_lost, events.bytes_lost);
+  EXPECT_EQ(in_place.disk_ops, events.disk_ops);
+  EXPECT_EQ(in_place.disk_stats, events.disk_stats);
+  EXPECT_EQ(in_place.content, events.content);
+  EXPECT_TRUE(in_place.trace == events.trace) << "trace events differ";
 }
 
 std::string SchemeTestName(const ::testing::TestParamInfo<std::string>& info) {

@@ -111,5 +111,62 @@ TEST(Simulator, SameTimeEventsFifoEvenWhenScheduledFromEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Simulator, AdvanceToMovesTheClockInsideAHandler) {
+  Simulator sim;
+  std::vector<SimTime> seen;
+  sim.After(Milliseconds(10), [&] {
+    sim.AdvanceTo(Milliseconds(15));
+    seen.push_back(sim.Now());
+    // Work scheduled from the advanced clock is relative to it.
+    sim.After(Milliseconds(1), [&] { seen.push_back(sim.Now()); });
+  });
+  sim.After(Milliseconds(20), [&] { seen.push_back(sim.Now()); });
+  sim.RunToEnd();
+  EXPECT_EQ(seen, (std::vector<SimTime>{Milliseconds(15), Milliseconds(16), Milliseconds(20)}));
+  EXPECT_EQ(sim.Now(), Milliseconds(20));
+}
+
+TEST(Simulator, HorizonStopsBeforeTheNextEvent) {
+  Simulator sim;
+  EXPECT_EQ(sim.Horizon(), kSimTimeNever);  // Nothing queued, no deadline.
+  SimTime horizon = -1;
+  sim.After(Milliseconds(10), [&] { horizon = sim.Horizon(); });
+  sim.After(Milliseconds(30), [] {});
+  sim.RunToEnd();
+  EXPECT_EQ(horizon, Milliseconds(30) - 1);
+}
+
+TEST(Simulator, HorizonNeverPassesTheRunUntilDeadline) {
+  Simulator sim;
+  std::vector<SimTime> horizons;
+  const auto probe = [&] { horizons.push_back(sim.Horizon()); };
+  sim.After(Milliseconds(10), probe);  // Next event at 15: before the deadline.
+  sim.After(Milliseconds(15), probe);  // Next event at 40: past the deadline.
+  sim.After(Milliseconds(20), probe);  // The last event before the deadline.
+  sim.After(Milliseconds(40), probe);
+  sim.RunUntil(Milliseconds(25));
+  EXPECT_EQ(horizons, (std::vector<SimTime>{Milliseconds(15) - 1, Milliseconds(20) - 1,
+                                            Milliseconds(25)}));
+  // The deadline ends with its RunUntil: the next handler sees only the queue.
+  sim.After(Milliseconds(5), probe);  // At 30, with 40 still queued.
+  sim.RunToEnd();
+  EXPECT_EQ(horizons.at(3), Milliseconds(40) - 1);
+  EXPECT_EQ(horizons.at(4), kSimTimeNever);
+}
+
+TEST(Simulator, HandlerAdvancingToTheHorizonKeepsEventOrder) {
+  Simulator sim;
+  std::vector<SimTime> seen;
+  sim.After(Milliseconds(10), [&] {
+    sim.AdvanceTo(sim.Horizon());
+    seen.push_back(sim.Now());
+  });
+  sim.After(Milliseconds(12), [&] { seen.push_back(sim.Now()); });
+  sim.After(Milliseconds(50), [&] { seen.push_back(sim.Now()); });
+  sim.RunUntil(Milliseconds(30));
+  EXPECT_EQ(seen, (std::vector<SimTime>{Milliseconds(12) - 1, Milliseconds(12)}));
+  EXPECT_EQ(sim.Now(), Milliseconds(30));
+}
+
 }  // namespace
 }  // namespace afraid
