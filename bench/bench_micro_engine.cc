@@ -26,6 +26,7 @@
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "tests/trace/trace_stream_ref.h"
 #include "trace/recorder.h"
 #include "trace/trace.h"
 #include "trace/workload_gen.h"
@@ -438,6 +439,29 @@ void BM_DeclusterRebuildSweep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * num);
 }
 BENCHMARK(BM_DeclusterRebuildSweep);
+
+// In-place reconstruction steps per second: a full sweep of one replaced
+// disk of the fleet shard's array (the default 5-disk HP array, AFRAID, no
+// content tracking) with no client traffic, so every step after the first
+// runs in place. This is the victim shard's host cost in a fleet rebuild.
+void BM_SweepStepInline(benchmark::State& state) {
+  const ArrayConfig cfg;
+  uint64_t steps = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    AfraidController array(&sim, cfg, MakePolicy(PolicySpec::AfraidBaseline()),
+                           AvailabilityParamsFor(cfg));
+    array.FailDisk(1);
+    array.ReplaceDisk(1);
+    state.ResumeTiming();
+    array.StartReconstruction([] {});
+    sim.RunToEnd();
+    steps += array.Stats().stripes_reconstructed;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(steps));
+}
+BENCHMARK(BM_SweepStepInline);
 
 // Seek-time lookup across the tabulated distance range...
 void BM_SeekTime(benchmark::State& state) {

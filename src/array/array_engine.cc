@@ -425,19 +425,24 @@ void ArrayEngine::ReconstructNextStripe(int64_t stripe, bool after_step) {
       return;
     }
     const int32_t target = recovering_disk_;
-    // In place only from a step's own completion, with the lock granted on
-    // the spot: a grant made later, inside another caller's Release, runs
-    // the step through events.
-    if (!after_step || !locks_.Empty()) {
+    // In place only from a step's own completion, with the lock table empty:
+    // a step that waits for a lock, or is granted one inside another
+    // caller's Release, runs through events. So does a step while a quiesce
+    // waits, since its finish hook may run the quiesce's callback.
+    if (!after_step || !locks_.Empty() || Quiescing()) {
       locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe, target] {
         ReconstructStripe(stripe, target, &sweep_step_);
         IssueSweepStep(stripe);
       });
       return;
     }
-    locks_.Acquire(stripe, LockMode::kExclusive, [] {});
+    // An in-place step takes no lock: nothing can run before it ends, as it
+    // schedules no event and its description and finish hook start no I/O
+    // (DESIGN.md §17). A step that falls back to events takes the lock
+    // first, granted on the spot as before.
     ReconstructStripe(stripe, target, &sweep_step_);
     if (!RunSweepStepInline()) {
+      locks_.Acquire(stripe, LockMode::kExclusive, [] {});
       IssueSweepStep(stripe);
       return;
     }
@@ -452,6 +457,7 @@ void ArrayEngine::IssueSweepStep(int64_t stripe) {
         JoinBlock* written = joins_.Make(static_cast<int32_t>(sweep_step_.writes.size()),
                                          [this, stripe](bool) {
                                            CompleteSweepStep(stripe);
+                                           locks_.Release(stripe, LockMode::kExclusive);
                                            ReconstructNextStripe(stripe + 1,
                                                                  /*after_step=*/true);
                                          });
@@ -488,18 +494,29 @@ bool ArrayEngine::RunSweepStepInline() {
   inline_ops_.clear();
   const auto time_op = [&](const BlockLoc& loc, SimTime start) {
     const DiskModel& disk = *disks_[static_cast<size_t>(loc.disk)];
-    int32_t from = disk.CurrentCylinder();
-    for (const InlineOp& prev : inline_ops_) {
-      if (prev.disk == loc.disk) {
-        from = prev.cylinder;
-      }
-    }
-    op.lba = loc.byte_offset / cfg_.disk_spec.sector_bytes;
     InlineOp io;
     io.disk = loc.disk;
     io.order = static_cast<int32_t>(inline_ops_.size());
     io.start = start;
-    io.finish = start + disk.ComputeService(start, op, from, &io.cylinder).Total();
+    io.offset = loc.byte_offset;
+    io.is_write = op.is_write;
+    io.from = disk.CurrentCylinder();
+    for (const InlineOp& prev : inline_ops_) {
+      if (prev.disk == loc.disk) {
+        io.from = prev.cylinder;
+      }
+    }
+    // Every disk has the one spec and the platters' phase is the global
+    // clock's, so an op equal to the previous one in start, offset,
+    // direction and arm position (the size is the step's) takes the same
+    // time and ends on the same cylinder (DESIGN.md §17).
+    if (!inline_ops_.empty() && inline_ops_.back().SameTiming(io)) {
+      io.finish = inline_ops_.back().finish;
+      io.cylinder = inline_ops_.back().cylinder;
+    } else {
+      op.lba = io.offset / cfg_.disk_spec.sector_bytes;
+      io.finish = start + disk.ComputeService(start, op, io.from, &io.cylinder).Total();
+    }
     inline_ops_.push_back(io);
     return io.finish;
   };
@@ -529,19 +546,28 @@ void ArrayEngine::CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purp
   // (finish, issue order), each the disk's queue counter, then its span.
   const auto begin = inline_ops_.begin() + static_cast<ptrdiff_t>(first);
   const auto stop = inline_ops_.begin() + static_cast<ptrdiff_t>(end);
+  disk_ops_[static_cast<size_t>(purpose)] += end - first;
   for (auto it = begin; it != stop; ++it) {
-    ++disk_ops_[static_cast<size_t>(purpose)];
     disks_[static_cast<size_t>(it->disk)]->BeginInline(it->start, it->cylinder);
   }
-  std::sort(begin, stop, [](const InlineOp& a, const InlineOp& b) {
+  // Issue order is completion order unless finish times differ.
+  const auto by_completion = [](const InlineOp& a, const InlineOp& b) {
     return a.finish != b.finish ? a.finish < b.finish : a.order < b.order;
-  });
+  };
+  if (!std::is_sorted(begin, stop, by_completion)) {
+    std::sort(begin, stop, by_completion);
+  }
+  // Every probe shares one tracer, so the rebuild track stands for all.
+  if (!rebuild_probe_) {
+    for (auto it = begin; it != stop; ++it) {
+      disks_[static_cast<size_t>(it->disk)]->EndInline(it->start, it->finish, sectors);
+    }
+    return;
+  }
   for (auto it = begin; it != stop; ++it) {
     disks_[static_cast<size_t>(it->disk)]->EndInline(it->start, it->finish, sectors);
-    const Probe disk_probe = disk_probes_[static_cast<size_t>(it->disk)];
-    if (disk_probe) {
-      disk_probe.Complete(DiskOpPurposeName(purpose), it->start, it->finish);
-    }
+    disk_probes_[static_cast<size_t>(it->disk)].Complete(DiskOpPurposeName(purpose),
+                                                         it->start, it->finish);
   }
 }
 
@@ -554,7 +580,6 @@ void ArrayEngine::CompleteSweepStep(int64_t stripe) {
   }
   ++stripes_reconstructed_;
   recovery_frontier_ = stripe + 1;
-  locks_.Release(stripe, LockMode::kExclusive);
 }
 
 void ArrayEngine::AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity,

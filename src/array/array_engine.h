@@ -13,9 +13,10 @@
 //   * Submit: plan-or-split, the request join, and the per-stripe grouping
 //     of write segments;
 //   * the FailDisk / ReplaceDisk state machine and the reconstruction sweep
-//     (skip stripes off the replaced disk, lock, run each described step --
-//     in place, without events, while nothing else is active -- advance the
-//     frontier, fire the done callback);
+//     (skip stripes off the replaced disk, run each described step -- in
+//     place, without events or a lock, while nothing else is active, else
+//     through events under the stripe lock -- advance the frontier, fire
+//     the done callback);
 //   * loss accounting (counters, listener, controller-track instant) and the
 //     common State/Stats fields;
 //   * deferred redundancy, for schemes that keep stale slots (AFRAID's bands,
@@ -26,8 +27,8 @@
 // A controller derives from the engine and supplies only its redundancy
 // logic through a few hooks, each fired at most once per request, segment,
 // stripe or refresh step -- never per disk op: array busy/idle, read a
-// segment, write a stripe group (or a segment), describe one locked
-// stripe's sweep step, and for deferred schemes which key to refresh next,
+// segment, write a stripe group (or a segment), describe one swept
+// stripe's step, and for deferred schemes which key to refresh next,
 // how to refresh it and whether to start or keep going. DESIGN.md §17
 // explains why degraded reads and write paths stay per scheme.
 
@@ -176,10 +177,12 @@ class ArrayEngine : public ArrayScheme {
     std::vector<BlockLoc> writes;
     SmallCallback<void(), 64> finish;  // Optional.
   };
-  // Once per swept stripe, with its lock held exclusively: describe into the
-  // empty `step` how to restore the replaced disk's unit of `stripe` (and
-  // any redundancy refreshed with it). Work due at step start may happen
-  // here; work due at its end goes in the finish hook.
+  // Once per swept stripe, while nothing else uses the stripe (the sweep
+  // holds its lock, takes it before anything else can run, or runs the step
+  // in place; DESIGN.md §17): describe into the empty `step` how to restore
+  // the replaced disk's unit of `stripe` (and any redundancy refreshed with
+  // it). Work due at step start may happen here; work due at its end goes in
+  // the finish hook. Neither may start I/O.
   virtual void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) = 0;
   // Zeroes the replaced disk's units in the content model (it is blank).
   virtual void BlankReplacedDisk(int32_t disk);
@@ -281,7 +284,7 @@ class ArrayEngine : public ArrayScheme {
   bool RunSweepStepInline();
   // Updates one phase of an in-place step as the event path would.
   void CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purpose, int32_t sectors);
-  // Ends a step: the scheme's hook, the count, the frontier and the lock.
+  // Ends a step: the scheme's hook, the count and the frontier.
   void CompleteSweepStep(int64_t stripe);
   void EndClient();
   // The refresh gate, checked before a pass and after each step: no disk
@@ -295,14 +298,22 @@ class ArrayEngine : public ArrayScheme {
 
   std::function<void()> reconstruction_done_;
   SweepStep sweep_step_;  // The running step (the sweep is serial).
-  // An in-place op: its disk, issue order, service window and final arm
-  // position.
+  // An in-place op: its disk, issue order, service window, byte offset and
+  // direction, and start and final arm positions.
   struct InlineOp {
     int32_t disk = 0;
     int32_t order = 0;
     SimTime start = 0;
     SimTime finish = 0;
+    int64_t offset = 0;
+    bool is_write = false;
+    int32_t from = 0;
     int32_t cylinder = 0;
+    // True when `next`, of the same step, is timed exactly as this op was.
+    bool SameTiming(const InlineOp& next) const {
+      return start == next.start && offset == next.offset && is_write == next.is_write &&
+             from == next.from;
+    }
   };
   std::vector<InlineOp> inline_ops_;  // Reads, then writes (scratch).
   std::array<uint64_t, static_cast<size_t>(DiskOpPurpose::kNumPurposes)> disk_ops_{};

@@ -148,7 +148,7 @@ void MirrorController::ReconstructStripe(int64_t stripe, int32_t target,
   // The column's block in this stripe (each column holds exactly one).
   const int32_t jb = DataBlockOn(stripe, target / 2);
   assert(jb >= 0);
-  // Logical copy first, under the lock: twin -> replacement, exact.
+  // Logical copy first, at step start: twin -> replacement, exact.
   if (content_ != nullptr) {
     for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
       if (side == 0) {

@@ -211,7 +211,7 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
 void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target,
                                             SweepStep* step) {
   const int32_t j_target = DataBlockOn(stripe, target);
-  // Logical recovery first, under the lock. Parity is always live (the
+  // Logical recovery first, at step start. Parity is always live (the
   // images are durable), so both directions are exact: no loss mode.
   if (content_ != nullptr) {
     const int32_t spu = content_->sectors_per_unit();

@@ -470,7 +470,7 @@ void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target,
     RecordLoss(LossCause::kStaleParityReconstruction, stripe, unit);
   }
 
-  // Logical recovery first, under the lock, in dependency order: the data
+  // Logical recovery first, at step start, in dependency order: the data
   // block from a live parity, then the parities from the data.
   if (content_ != nullptr) {
     const int32_t spu = content_->sectors_per_unit();

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "array/host_driver.h"
@@ -262,6 +263,29 @@ ShardResult RunShard(const FleetConfig& cfg, int32_t shard, const Trace& strace,
   return std::move(cell.result);
 }
 
+// Each shard's management ops, by shard index.
+std::vector<std::vector<MgmtOp>> OpsByShard(const std::vector<MgmtOp>& ops,
+                                            int32_t num_shards) {
+  std::vector<std::vector<MgmtOp>> shard_ops(static_cast<size_t>(num_shards));
+  for (const MgmtOp& op : ops) {
+    shard_ops[static_cast<size_t>(op.shard)].push_back(op);
+  }
+  return shard_ops;
+}
+
+// The order a sweep starts shards in: those with management ops first, each
+// group by index, so a failed shard's rebuild -- a row's straggler -- does
+// not wait for a free worker. Results are collected by shard index, so no
+// report depends on this order.
+std::vector<int64_t> StartOrder(const std::vector<std::vector<MgmtOp>>& shard_ops) {
+  std::vector<int64_t> order(shard_ops.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_partition(order.begin(), order.end(), [&](int64_t s) {
+    return !shard_ops[static_cast<size_t>(s)].empty();
+  });
+  return order;
+}
+
 // Per-logical-record routing flags for the completion join.
 constexpr uint8_t kRecWrite = 1;  // The record was a write.
 constexpr uint8_t kRecSplit = 2;  // The record split across shards.
@@ -470,20 +494,16 @@ FleetReport VolumeManager::Run(const FleetTrace& trace, const RunOptions& opts) 
         trace.name + "/shard" + std::to_string(s);
   }
 
-  std::vector<std::vector<MgmtOp>> shard_ops(static_cast<size_t>(num_shards));
-  for (const MgmtOp& op : ops_) {
-    shard_ops[static_cast<size_t>(op.shard)].push_back(op);
-  }
-
+  const std::vector<std::vector<MgmtOp>> shard_ops = OpsByShard(ops_, num_shards);
+  const std::vector<int64_t> order = StartOrder(shard_ops);
   const bool trace_shards = opts.trace_shards && !opts.artifacts_dir.empty();
-  std::vector<ShardResult> results = ParallelSweep(
-      num_shards,
-      [&](int64_t s) {
-        const auto i = static_cast<size_t>(s);
-        return RunShard(cfg_, static_cast<int32_t>(s), shard_traces[i],
-                        shard_ops[i], trace_shards);
-      },
-      opts.threads);
+  std::vector<ShardResult> results(static_cast<size_t>(num_shards));
+  internal::RunSweep(num_shards, opts.threads, [&](int64_t k) {
+    const int64_t s = order[static_cast<size_t>(k)];
+    const auto i = static_cast<size_t>(s);
+    results[i] = RunShard(cfg_, static_cast<int32_t>(s), shard_traces[i], shard_ops[i],
+                          trace_shards);
+  });
 
   return MergeFleet(cfg_, map_, trace.name, trace.num_tenants,
                     std::move(results), piece_owner, rec_flags, opts,
@@ -497,11 +517,8 @@ FleetReport VolumeManager::RunStreamed(const std::string& path,
   const int32_t num_shards = cfg_.num_shards;
   TraceChunkReader reader(path, sopts);
 
-  std::vector<std::vector<MgmtOp>> shard_ops(static_cast<size_t>(num_shards));
-  for (const MgmtOp& op : ops_) {
-    shard_ops[static_cast<size_t>(op.shard)].push_back(op);
-  }
-
+  const std::vector<std::vector<MgmtOp>> shard_ops = OpsByShard(ops_, num_shards);
+  const std::vector<int64_t> order = StartOrder(shard_ops);
   const bool trace_shards = opts.trace_shards && !opts.artifacts_dir.empty();
   std::vector<std::unique_ptr<ShardCell>> cells;
   cells.reserve(static_cast<size_t>(num_shards));
@@ -537,8 +554,8 @@ FleetReport VolumeManager::RunStreamed(const std::string& path,
           static_cast<uint8_t>((rec.is_write ? kRecWrite : 0) |
                                (scratch.size() > 1 ? kRecSplit : 0)));
     }
-    internal::RunSweep(num_shards, opts.threads, [&](int64_t s) {
-      const auto i = static_cast<size_t>(s);
+    internal::RunSweep(num_shards, opts.threads, [&](int64_t k) {
+      const auto i = static_cast<size_t>(order[static_cast<size_t>(k)]);
       cells[i]->Feed(shard_chunk[i].data(), shard_chunk[i].size());
       cells[i]->Advance();
     });
@@ -547,8 +564,9 @@ FleetReport VolumeManager::RunStreamed(const std::string& path,
     *status = reader.status();
   }
 
-  internal::RunSweep(num_shards, opts.threads,
-                     [&](int64_t s) { cells[static_cast<size_t>(s)]->Finish(); });
+  internal::RunSweep(num_shards, opts.threads, [&](int64_t k) {
+    cells[static_cast<size_t>(order[static_cast<size_t>(k)])]->Finish();
+  });
 
   std::vector<ShardResult> results;
   results.reserve(cells.size());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -261,15 +262,25 @@ struct SweepOutcome {
   std::vector<uint64_t> disk_ops;
   std::vector<double> disk_stats;  // Utilization and service-time moments.
   std::vector<uint64_t> content;
+  std::vector<std::pair<uint64_t, double>> client_ms;  // By completion.
+  std::vector<SimTime> step_ends;  // When each step's last write ended.
   std::string trace;
 };
 
+// A client request that arrives during the sweep.
+struct Arrival {
+  SimTime at = 0;
+  int64_t offset = 0;
+  bool is_write = false;
+};
+
 // Seeds content, leaves the last writes' redundancy stale where the scheme
-// defers it, then fails, replaces and sweeps a data disk of stripe 0 with
-// no traffic. With `force_events` a no-op timer, re-armed every 50 us until
-// the sweep is done, leaves no step room to run in place before the next
-// event, so every step takes the event path.
-SweepOutcome FailAndSweep(const std::string& param, bool force_events) {
+// defers it, then fails, replaces and sweeps a data disk of stripe 0 while
+// the one-block `traffic` arrives. With `force_events` a no-op timer,
+// re-armed every 50 us until the sweep is done, leaves no step room to run
+// in place before the next event, so every step takes the event path.
+SweepOutcome FailAndSweep(const std::string& param, bool force_events,
+                          const std::vector<Arrival>& traffic = {}) {
   Rig rig(param);
   SweepOutcome out;
   if (rig.ctl == nullptr) {
@@ -291,6 +302,12 @@ SweepOutcome FailAndSweep(const std::string& param, bool force_events) {
   const int32_t victim = ctl.layout().DataDisk(0, 0);
   EXPECT_TRUE(ctl.FailDisk(victim));
   EXPECT_TRUE(ctl.ReplaceDisk(victim));
+  rig.driver->SetCompletionListener([&out](uint64_t id, double ms, bool) {
+    out.client_ms.emplace_back(id, ms);
+  });
+  for (const Arrival& a : traffic) {
+    sim.At(a.at, [&rig, a] { rig.driver->Submit(a.offset, kBlock, a.is_write); });
+  }
   const uint64_t events_before = sim.EventsProcessed();
   bool done = false;
   EXPECT_TRUE(ctl.StartReconstruction([&] {
@@ -336,8 +353,32 @@ SweepOutcome FailAndSweep(const std::string& param, bool force_events) {
       }
     }
   }
+  // A step's writes all start when its last read is in.
+  SimTime writes_start = -1;
+  for (const TraceEvent& ev : rig.tracer.events()) {
+    if (ev.phase == 'X' && ev.name == "recovery write") {
+      if (ev.ts != writes_start) {
+        writes_start = ev.ts;
+        out.step_ends.push_back(ev.ts + ev.dur);
+      }
+      out.step_ends.back() = std::max(out.step_ends.back(), ev.ts + ev.dur);
+    }
+  }
   out.trace = rig.tracer.ToJson();
   return out;
+}
+
+void ExpectSameOutcome(const SweepOutcome& in_place, const SweepOutcome& events) {
+  EXPECT_EQ(in_place.recovered_at, events.recovered_at);
+  EXPECT_EQ(in_place.stripes_reconstructed, events.stripes_reconstructed);
+  EXPECT_EQ(in_place.loss_events, events.loss_events);
+  EXPECT_EQ(in_place.bytes_lost, events.bytes_lost);
+  EXPECT_EQ(in_place.disk_ops, events.disk_ops);
+  EXPECT_EQ(in_place.disk_stats, events.disk_stats);
+  EXPECT_EQ(in_place.content, events.content);
+  EXPECT_EQ(in_place.client_ms, events.client_ms);
+  EXPECT_EQ(in_place.step_ends, events.step_ends);
+  EXPECT_TRUE(in_place.trace == events.trace) << "trace events differ";
 }
 
 // Sweep steps on a quiescent array run in place, without events; the
@@ -351,14 +392,62 @@ TEST_P(SchemeFailureTest, InPlaceSweepMatchesEventPath) {
   EXPECT_GE(events.sweep_events, 2 * events.stripes_reconstructed);
   EXPECT_LT(in_place.sweep_events, in_place.stripes_reconstructed);
 
-  EXPECT_EQ(in_place.recovered_at, events.recovered_at);
-  EXPECT_EQ(in_place.stripes_reconstructed, events.stripes_reconstructed);
-  EXPECT_EQ(in_place.loss_events, events.loss_events);
-  EXPECT_EQ(in_place.bytes_lost, events.bytes_lost);
-  EXPECT_EQ(in_place.disk_ops, events.disk_ops);
-  EXPECT_EQ(in_place.disk_stats, events.disk_stats);
-  EXPECT_EQ(in_place.content, events.content);
-  EXPECT_TRUE(in_place.trace == events.trace) << "trace events differ";
+  ExpectSameOutcome(in_place, events);
+}
+
+// Client reads and writes that arrive during the sweep interleave with
+// in-place steps: arrivals one tick after an in-place step ends, a write to
+// the stripe then being swept, reads of stripes not yet swept, and later
+// arrivals wherever the delayed sweep has got to. Steps run through events
+// while clients are in flight and in place again once the array is quiet;
+// the result must be exactly the all-events run's, client latencies
+// included.
+TEST_P(SchemeFailureTest, InPlaceSweepUnderClientTraffic) {
+  const SweepOutcome quiet = FailAndSweep(GetParam(), false);
+  const size_t steps = quiet.step_ends.size();
+  ASSERT_GE(steps, 40u);
+  ASSERT_TRUE(std::is_sorted(quiet.step_ends.begin(), quiet.step_ends.end()));
+
+  // The stripes the sweep visits, in step order.
+  Rig rig(GetParam());
+  ASSERT_NE(rig.ctl, nullptr);
+  const ArrayLayout& lay = rig.ctl->layout();
+  const int32_t victim = lay.DataDisk(0, 0);
+  std::vector<int64_t> swept;
+  for (int64_t s = 0; s < lay.num_stripes(); ++s) {
+    if (lay.StripeUsesDisk(s, victim)) {
+      swept.push_back(s);
+    }
+  }
+  ASSERT_EQ(swept.size(), steps);
+  const auto block = [&](size_t step, int32_t j) {
+    return lay.LogicalOffsetOf(swept[step], j);
+  };
+  // Until the first arrival the run is the quiet one: in-place step 3 ends
+  // at end[3], one tick before the first two arrivals, and step 4 -- which
+  // no longer fits before them, so it takes events -- is being swept when
+  // they come. The later times are taken from the quiet run and fall
+  // between and within steps of the delayed sweep.
+  const std::vector<SimTime>& end = quiet.step_ends;
+  const std::vector<Arrival> traffic = {
+      {end[3] + 1, block(4, 0), true},
+      {end[3] + 1, block(30, 1), false},
+      {(end[10] + end[11]) / 2, block(steps - 1, 0), false},
+      {end[20] + 1, block(21, 1), true},
+      {end[20] + 1, block(21, 0), false},
+      {end[steps - 5] + 1, block(2, 0), false},
+  };
+  const SweepOutcome in_place = FailAndSweep(GetParam(), false, traffic);
+  const SweepOutcome events = FailAndSweep(GetParam(), true, traffic);
+  ASSERT_EQ(in_place.client_ms.size(), traffic.size());
+  // The write to the stripe being swept (the first arrival, so the lowest
+  // request id) waited for that step to end.
+  const auto first = std::min_element(in_place.client_ms.begin(), in_place.client_ms.end());
+  EXPECT_GE(first->second, ToMilliseconds(end[4] - end[3] - 1));
+  EXPECT_EQ(in_place.stripes_reconstructed, steps);
+  // Most steps still ran in place.
+  EXPECT_LT(in_place.sweep_events, events.sweep_events / 4);
+  ExpectSameOutcome(in_place, events);
 }
 
 std::string SchemeTestName(const ::testing::TestParamInfo<std::string>& info) {

@@ -368,5 +368,47 @@ TEST(DiskModelProperty, ServiceTimesWithinPhysicalBounds) {
   }
 }
 
+// The in-place reconstruction sweep times an op once and reuses the result
+// for an identical op on another disk of the array (DESIGN.md §17). That
+// holds only if ComputeService depends on the spec and its inputs alone:
+// not on the disk's id, its own arm position, queue or history, or when it
+// was built.
+TEST(DiskModelProperty, DisksOfOneSpecTimeIdenticalOpsIdentically) {
+  for (const DiskSpec& spec : {DiskSpec::HpC3325Like(), DiskSpec::TinyTestDisk()}) {
+    Simulator sim;
+    DiskModel a(&sim, spec, 0);
+    // The other disk is built later and has served ops, so its arm, its
+    // statistics and its slot pool all differ from the first one's.
+    sim.After(Seconds(3), [] {});
+    sim.RunToEnd();
+    DiskModel b(&sim, spec, 7);
+    for (int64_t lba = 0; lba < 4 * 64; lba += 64) {
+      b.Submit(DiskOp{b.TotalSectors() - 1 - lba, 1, lba % 128 == 0},
+               [](const DiskOpResult&) {});
+    }
+    sim.RunToEnd();
+    ASSERT_NE(a.CurrentCylinder(), b.CurrentCylinder()) << spec.name;
+    Rng rng(1209);
+    const auto max_cylinder = static_cast<int32_t>(a.geometry().TotalCylinders() - 1);
+    for (int i = 0; i < 3000; ++i) {
+      DiskOp op;
+      op.sectors = static_cast<int32_t>(rng.UniformInt(1, 64));
+      op.lba = rng.UniformInt(0, a.TotalSectors() - op.sectors);
+      op.is_write = rng.Bernoulli(0.5);
+      const SimTime start = rng.UniformInt(0, Seconds(100));
+      const auto from = static_cast<int32_t>(rng.UniformInt(0, max_cylinder));
+      int32_t end_a = -1;
+      int32_t end_b = -2;
+      const ServiceBreakdown x = a.ComputeService(start, op, from, &end_a);
+      const ServiceBreakdown y = b.ComputeService(start, op, from, &end_b);
+      ASSERT_EQ(x.overhead, y.overhead) << spec.name << " op " << i;
+      ASSERT_EQ(x.seek, y.seek) << spec.name << " op " << i;
+      ASSERT_EQ(x.rotation, y.rotation) << spec.name << " op " << i;
+      ASSERT_EQ(x.transfer, y.transfer) << spec.name << " op " << i;
+      ASSERT_EQ(end_a, end_b) << spec.name << " op " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace afraid
