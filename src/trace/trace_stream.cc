@@ -87,8 +87,13 @@ void TraceChunkReader::TakeBlock(std::string* dst, bool* at_eof,
 }
 
 void TraceChunkReader::NotePeak() {
-  const size_t now = window_.capacity() + carry_.capacity() +
-                     block_.capacity() + ready_block_.capacity() +
+  size_t ready = 0;
+  {
+    // The prefetch thread swaps into ready_block_ under the lock.
+    std::lock_guard<std::mutex> lock(mu_);
+    ready = ready_block_.capacity();
+  }
+  const size_t now = window_.capacity() + carry_.capacity() + block_.capacity() + ready +
                      chunk_.records.capacity() * sizeof(TraceRecord);
   peak_buffer_bytes_ = std::max(peak_buffer_bytes_, now);
 }
