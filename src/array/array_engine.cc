@@ -68,7 +68,8 @@ ArrayEngine::ArrayEngine(Simulator* sim, const ArrayConfig& config,
       cfg_(config),
       layout_(std::move(layout)),
       nvram_(layout_->num_stripes() * stale_slots),
-      busy_clients_(sim->Now()) {
+      busy_clients_(sim->Now()),
+      stale_slots_(stale_slots) {
   for (int32_t d = 0; d < cfg_.num_disks; ++d) {
     const Probe disk_probe = probe.NewTrack("disk" + std::to_string(d));
     disk_probes_.push_back(disk_probe);
@@ -394,45 +395,61 @@ bool ArrayEngine::StartReconstruction(std::function<void()> done) {
   if (rebuild_probe_) {
     rebuild_probe_.AsyncBegin("reconstruction", 1, sim_->Now());
   }
-  ReconstructNextStripe(0, /*after_step=*/false);
+  sweep_.next = 0;
+  RunSteps(&sweep_, /*after_step=*/false);
   return true;
 }
 
-void ArrayEngine::ReconstructNextStripe(int64_t stripe, bool after_step) {
-  // A loop, not recursion, carries the sweep from one in-place step to the
+int64_t ArrayEngine::SweepDriver::Next() {
+  // Declustered layouts place only some stripes on any given disk; stripes
+  // without a unit on the replaced disk need no work (and are not counted).
+  // Left-symmetric layouts never skip.
+  const ArrayLayout& layout = *e_->layout_;
+  while (next < layout.num_stripes() && !layout.StripeUsesDisk(next, e_->recovering_disk_)) {
+    ++next;
+  }
+  if (next < layout.num_stripes()) {
+    return next++;
+  }
+  e_->reconstruction_active_ = false;
+  e_->recovering_disk_ = -1;
+  e_->recovery_frontier_ = 0;
+  if (e_->rebuild_probe_) {
+    e_->rebuild_probe_.AsyncEnd("reconstruction", 1, e_->sim_->Now());
+  }
+  auto done = std::move(e_->reconstruction_done_);
+  e_->reconstruction_done_ = nullptr;
+  if (done) {
+    done();
+  }
+  e_->TriggerRefresh(RefreshCue::kRecovered);  // Deferred work may resume.
+  return -1;
+}
+
+void ArrayEngine::SweepDriver::Settle(bool ok) {
+  (void)ok;
+  ++e_->stripes_reconstructed_;
+  e_->recovery_frontier_ = next;
+}
+
+// --- The step executor -------------------------------------------------------------
+
+void ArrayEngine::RunSteps(StepDriver* driver, bool after_step) {
+  // A loop, not recursion, carries a driver from one in-place step to the
   // next.
-  for (;; ++stripe) {
-    // Declustered layouts place only some stripes on any given disk; stripes
-    // without a unit on the replaced disk need no work (and are not
-    // counted). Left-symmetric layouts never skip.
-    while (stripe < layout_->num_stripes() &&
-           !layout_->StripeUsesDisk(stripe, recovering_disk_)) {
-      ++stripe;
-    }
-    if (stripe >= layout_->num_stripes()) {
-      reconstruction_active_ = false;
-      recovering_disk_ = -1;
-      recovery_frontier_ = 0;
-      if (rebuild_probe_) {
-        rebuild_probe_.AsyncEnd("reconstruction", 1, sim_->Now());
-      }
-      auto done = std::move(reconstruction_done_);
-      reconstruction_done_ = nullptr;
-      if (done) {
-        done();
-      }
-      TriggerRefresh(RefreshCue::kRecovered);  // Deferred work may resume.
-      return;
-    }
-    const int32_t target = recovering_disk_;
+  Step& step = driver->step;
+  for (int64_t stripe = driver->Next(); stripe >= 0; stripe = driver->Next()) {
+    step.rel = 0;
+    step.len = layout_->stripe_unit();
+    step.start = sim_->Now();
     // In place only from a step's own completion, with the lock table empty:
     // a step that waits for a lock, or is granted one inside another
     // caller's Release, runs through events. So does a step while a quiesce
     // waits, since its finish hook may run the quiesce's callback.
     if (!after_step || !locks_.Empty() || Quiescing()) {
-      locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe, target] {
-        ReconstructStripe(stripe, target, &sweep_step_);
-        IssueSweepStep(stripe);
+      locks_.Acquire(stripe, LockMode::kExclusive, [this, driver, stripe] {
+        driver->Describe(stripe, &driver->step);
+        IssueStep(driver, stripe, /*writes=*/false);
       });
       return;
     }
@@ -440,43 +457,55 @@ void ArrayEngine::ReconstructNextStripe(int64_t stripe, bool after_step) {
     // schedules no event and its description and finish hook start no I/O
     // (DESIGN.md §17). A step that falls back to events takes the lock
     // first, granted on the spot as before.
-    ReconstructStripe(stripe, target, &sweep_step_);
-    if (!RunSweepStepInline()) {
+    driver->Describe(stripe, &step);
+    if (!RunStepInline(driver)) {
       locks_.Acquire(stripe, LockMode::kExclusive, [] {});
-      IssueSweepStep(stripe);
+      IssueStep(driver, stripe, /*writes=*/false);
       return;
     }
-    CompleteSweepStep(stripe);
+    if (!EndStep(driver, /*ok=*/true, /*locked=*/-1)) {
+      return;
+    }
+    after_step = true;
   }
 }
 
-void ArrayEngine::IssueSweepStep(int64_t stripe) {
-  const int64_t unit = layout_->stripe_unit();
-  JoinBlock* reads_in = joins_.Make(
-      static_cast<int32_t>(sweep_step_.reads.size()), [this, stripe, unit](bool) {
-        JoinBlock* written = joins_.Make(static_cast<int32_t>(sweep_step_.writes.size()),
-                                         [this, stripe](bool) {
-                                           CompleteSweepStep(stripe);
-                                           locks_.Release(stripe, LockMode::kExclusive);
-                                           ReconstructNextStripe(stripe + 1,
-                                                                 /*after_step=*/true);
-                                         });
-        for (const BlockLoc& w : sweep_step_.writes) {
-          IssueDiskOp(w.disk, w.byte_offset, unit, /*is_write=*/true,
-                      DiskOpPurpose::kRecoveryWrite, [written](bool ok) { written->Dec(ok); });
+void ArrayEngine::IssueStep(StepDriver* driver, int64_t stripe, bool writes) {
+  const Step& step = driver->step;
+  const std::vector<BlockLoc>& ops = writes ? step.writes : step.reads;
+  if (ops.empty()) {
+    if (!writes) {
+      IssueStep(driver, stripe, /*writes=*/true);
+      return;
+    }
+    // A step without an op ends within its lock's grant, so the next one
+    // waits for its lock like a first step.
+    const bool after_step = !step.reads.empty();
+    if (EndStep(driver, /*ok=*/true, stripe)) {
+      RunSteps(driver, after_step);
+    }
+    return;
+  }
+  JoinBlock* join = joins_.Make(
+      static_cast<int32_t>(ops.size()), [this, driver, stripe, writes](bool ok) {
+        if (ok && !writes) {
+          IssueStep(driver, stripe, /*writes=*/true);
+        } else if (EndStep(driver, ok, stripe)) {
+          RunSteps(driver, /*after_step=*/true);
         }
       });
-  for (const BlockLoc& r : sweep_step_.reads) {
-    IssueDiskOp(r.disk, r.byte_offset, unit, /*is_write=*/false, DiskOpPurpose::kRecoveryRead,
-                [reads_in](bool ok) { reads_in->Dec(ok); });
+  for (const BlockLoc& loc : ops) {
+    IssueDiskOp(loc.disk, loc.byte_offset + step.rel, step.len, writes,
+                writes ? driver->write_purpose : driver->read_purpose,
+                [join](bool ok) { join->Dec(ok); });
   }
 }
 
-bool ArrayEngine::RunSweepStepInline() {
-  // Only on a quiescent array: no client request, refresh pass or disk
-  // activity, and no failed disk. Checked after ReconstructStripe, whose
-  // step-start work (content, loss) could start activity.
-  if (outstanding_clients_ > 0 || refreshing_) {
+bool ArrayEngine::RunStepInline(StepDriver* driver) {
+  // Only on a quiescent array: no client request or disk activity, and no
+  // failed disk. Checked after Describe, whose step-start work (content,
+  // loss) could start activity.
+  if (outstanding_clients_ > 0) {
     return false;
   }
   for (const auto& d : disks_) {
@@ -489,8 +518,9 @@ bool ArrayEngine::RunSweepStepInline() {
   // on idle disks (a stripe's units sit on distinct disks); writes start
   // when the last read is in. Each op starts from wherever an earlier op of
   // this step left the same disk's arm.
+  const Step& step = driver->step;
   DiskOp op;
-  op.sectors = static_cast<int32_t>(layout_->stripe_unit() / cfg_.disk_spec.sector_bytes);
+  op.sectors = static_cast<int32_t>(step.len / cfg_.disk_spec.sector_bytes);
   inline_ops_.clear();
   const auto time_op = [&](const BlockLoc& loc, SimTime start) {
     const DiskModel& disk = *disks_[static_cast<size_t>(loc.disk)];
@@ -498,7 +528,7 @@ bool ArrayEngine::RunSweepStepInline() {
     io.disk = loc.disk;
     io.order = static_cast<int32_t>(inline_ops_.size());
     io.start = start;
-    io.offset = loc.byte_offset;
+    io.offset = loc.byte_offset + step.rel;
     io.is_write = op.is_write;
     io.from = disk.CurrentCylinder();
     for (const InlineOp& prev : inline_ops_) {
@@ -522,20 +552,20 @@ bool ArrayEngine::RunSweepStepInline() {
   };
   SimTime reads_in = sim_->Now();
   op.is_write = false;
-  for (const BlockLoc& r : sweep_step_.reads) {
+  for (const BlockLoc& r : step.reads) {
     reads_in = std::max(reads_in, time_op(r, sim_->Now()));
   }
   const size_t n_reads = inline_ops_.size();
   SimTime end = reads_in;
   op.is_write = true;
-  for (const BlockLoc& w : sweep_step_.writes) {
+  for (const BlockLoc& w : step.writes) {
     end = std::max(end, time_op(w, reads_in));
   }
   if (end > sim_->Horizon()) {
     return false;
   }
-  CommitInlinePhase(0, n_reads, DiskOpPurpose::kRecoveryRead, op.sectors);
-  CommitInlinePhase(n_reads, inline_ops_.size(), DiskOpPurpose::kRecoveryWrite, op.sectors);
+  CommitInlinePhase(0, n_reads, driver->read_purpose, op.sectors);
+  CommitInlinePhase(n_reads, inline_ops_.size(), driver->write_purpose, op.sectors);
   sim_->AdvanceTo(end);
   return true;
 }
@@ -571,19 +601,23 @@ void ArrayEngine::CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purp
   }
 }
 
-void ArrayEngine::CompleteSweepStep(int64_t stripe) {
-  auto finish = std::move(sweep_step_.finish);
-  sweep_step_.reads.clear();
-  sweep_step_.writes.clear();
-  if (finish) {
+bool ArrayEngine::EndStep(StepDriver* driver, bool ok, int64_t locked) {
+  Step& step = driver->step;
+  auto finish = std::move(step.finish);
+  if (ok && finish) {
     finish();
   }
-  ++stripes_reconstructed_;
-  recovery_frontier_ = stripe + 1;
+  driver->Settle(ok);
+  step.reads.clear();
+  step.writes.clear();
+  if (locked >= 0) {
+    locks_.Release(locked, LockMode::kExclusive);
+  }
+  return driver->Resume(ok);
 }
 
 void ArrayEngine::AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity,
-                               SweepStep* step) const {
+                               Step* step) const {
   for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
     if (j != j_target) {
       step->reads.push_back(layout_->DataLocation(stripe, j));
@@ -591,6 +625,44 @@ void ArrayEngine::AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity,
   }
   if (j_target >= 0) {
     step->reads.push_back(layout_->ParityLocation(stripe, parity));
+  }
+}
+
+void ArrayEngine::RecomputeXorParity(int64_t stripe, int64_t rel, int64_t len) {
+  if (content_ == nullptr) {
+    return;
+  }
+  // One batched sweep over the range's sectors.
+  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  const auto first = static_cast<int32_t>(rel / sector);
+  const auto count = static_cast<int32_t>(len < 0 ? content_->sectors_per_unit() : len / sector);
+  parity_scratch_.resize(static_cast<size_t>(count));
+  content_->XorOfDataRange(stripe, first, count, parity_scratch_.data());
+  content_->SetParityRange(stripe, first, count, parity_scratch_.data());
+}
+
+void ArrayEngine::RestoreXorUnit(int64_t stripe, int32_t j_target) {
+  if (j_target < 0) {
+    RecomputeXorParity(stripe);
+    return;
+  }
+  if (content_ != nullptr) {
+    for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
+      content_->SetData(stripe, j_target, s, content_->ReconstructData(stripe, j_target, s));
+    }
+  }
+}
+
+void ArrayEngine::ApplyWriteContent(uint64_t request_id, const Segment& seg) {
+  if (content_ == nullptr) {
+    return;
+  }
+  const int32_t sector = cfg_.disk_spec.sector_bytes;
+  const int32_t first = seg.offset_in_block / sector;
+  const int64_t logical_first = seg.logical_offset / sector;
+  for (int32_t i = 0; i < seg.length / sector; ++i) {
+    content_->SetData(seg.stripe, seg.block_in_stripe, first + i,
+                      ContentModel::MixTag(request_id, logical_first + i));
   }
 }
 
@@ -623,7 +695,7 @@ void ArrayEngine::TriggerRefresh(RefreshCue cue) {
   }
   if (Quiescing() || WantRefresh(cue)) {
     BeginRefreshPass();
-    RefreshNext();
+    RunSteps(&refresh_, /*after_step=*/false);
   }
 }
 
@@ -661,29 +733,34 @@ int64_t ArrayEngine::NextRefreshKey(int64_t from) const {
   return -1;
 }
 
-void ArrayEngine::RefreshNext() {
-  const int64_t key = NextRefreshKey(refresh_cursor_);
-  if (key < 0) {
-    EndRefreshPass();
-    return;
+int64_t ArrayEngine::RefreshDriver::Next() {
+  key_ = e_->NextRefreshKey(cursor);
+  if (key_ < 0) {
+    e_->EndRefreshPass();
+    return -1;
   }
-  // One key per step, so a foreground request preempts the pass between
-  // steps; the wrapping cursor coalesces adjacent stale stripes.
-  const SimTime step_start = sim_->Now();
-  JoinBlock* step_join = joins_.Make(1, [this, key, step_start](bool ok) {
-    refresh_cursor_ = key + 1;
-    if (rebuild_probe_) {
-      rebuild_probe_.Complete(RefreshStepName(), step_start, sim_->Now());
-    }
-    // The start gate again: a disk may have failed, or even been replaced,
-    // while the step ran.
-    if (ok && RefreshAllowed() && (Quiescing() || WantRefresh(RefreshCue::kStep))) {
-      RefreshNext();
-    } else {
-      EndRefreshPass();
-    }
-  });
-  RefreshKey(key, step_join);
+  return key_ / e_->stale_slots_;
+}
+
+void ArrayEngine::RefreshDriver::Settle(bool ok) {
+  if (ok && !(step.reads.empty() && step.writes.empty())) {
+    ++e_->stripes_refreshed_;
+  }
+}
+
+bool ArrayEngine::RefreshDriver::Resume(bool ok) {
+  cursor = key_ + 1;
+  if (e_->rebuild_probe_) {
+    e_->rebuild_probe_.Complete(e_->RefreshStepName(), step.start, e_->sim_->Now());
+  }
+  // The start gate again: a disk may have failed, or even been replaced,
+  // while the step ran.
+  if (ok && e_->RefreshAllowed() &&
+      (e_->Quiescing() || e_->WantRefresh(RefreshCue::kStep))) {
+    return true;
+  }
+  e_->EndRefreshPass();
+  return false;
 }
 
 void ArrayEngine::AwaitRefresh(int64_t first_key, int64_t end_key,

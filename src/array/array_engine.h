@@ -12,25 +12,28 @@
 //   * IssueDiskOp: per-purpose op counters and purpose-labelled disk spans;
 //   * Submit: plan-or-split, the request join, and the per-stripe grouping
 //     of write segments;
+//   * the step executor: every background step (sweep, refresh, AFRAID's
+//     scrub) is a description -- reads, writes once the reads are in, a
+//     finish hook -- that the engine runs in place, without events or a
+//     lock, while nothing else is active, else through events under the
+//     stripe lock; drivers pick and describe the steps;
 //   * the FailDisk / ReplaceDisk state machine and the reconstruction sweep
-//     (skip stripes off the replaced disk, run each described step -- in
-//     place, without events or a lock, while nothing else is active, else
-//     through events under the stripe lock -- advance the frontier, fire
+//     driver (skip stripes off the replaced disk, advance the frontier, fire
 //     the done callback);
 //   * loss accounting (counters, listener, controller-track instant) and the
 //     common State/Stats fields;
 //   * deferred redundancy, for schemes that keep stale slots (AFRAID's bands,
 //     deferred RAID 6's P and Q): one NVRAM stale-mark store, the client
 //     count and idle trigger, the refresh-pass driver (cursor, passes,
-//     rebuild-track spans) and the quiesce watchers.
+//     rebuild-track spans, refreshed-stripe count) and the quiesce watchers.
 //
 // A controller derives from the engine and supplies only its redundancy
 // logic through a few hooks, each fired at most once per request, segment,
 // stripe or refresh step -- never per disk op: array busy/idle, read a
 // segment, write a stripe group (or a segment), describe one swept
 // stripe's step, and for deferred schemes which key to refresh next,
-// how to refresh it and whether to start or keep going. DESIGN.md §17
-// explains why degraded reads and write paths stay per scheme.
+// describe its refresh step and whether to start or keep going. DESIGN.md
+// §17 explains why degraded reads and write paths stay per scheme.
 
 #ifndef AFRAID_ARRAY_ARRAY_ENGINE_H_
 #define AFRAID_ARRAY_ARRAY_ENGINE_H_
@@ -166,24 +169,60 @@ class ArrayEngine : public ArrayScheme {
   // once the stripe lock is held; sets *lost when no live redundancy vouches
   // for the result. The default: P, always live.
   virtual int32_t DegradedReadParity(int64_t stripe, bool* lost) const;
-  // One reconstruction sweep step: stripe-unit reads of the survivors the
-  // target unit derives from, stripe-unit writes issued once every read is
-  // in, and a hook run when the last write completes (content, stale marks,
-  // loss). The engine runs it through IssueDiskOp and joins, or in place on
-  // a quiescent array (DESIGN.md §17). Sweep ops cannot fail: FailDisk
-  // refuses a second failure while a disk recovers.
-  struct SweepStep {
+  // One background step -- a sweep, refresh or scrub step: reads of the
+  // byte range [rel, rel + len) of each listed stripe unit, writes of that
+  // range issued once every read is in, and a hook run when the last write
+  // completes (content, stale marks, loss). A failed read skips the writes;
+  // the hook runs only if every op succeeded, and otherwise the step reports
+  // failure. A step may be empty. The engine runs it through IssueDiskOp and
+  // joins, or in place on a quiescent array (DESIGN.md §17).
+  struct Step {
     std::vector<BlockLoc> reads;
     std::vector<BlockLoc> writes;
+    int64_t rel = 0;
+    int64_t len = 0;   // The stripe unit unless the description narrows it.
+    SimTime start = 0;  // When the driver picked the step, before any lock wait.
     SmallCallback<void(), 64> finish;  // Optional.
   };
-  // Once per swept stripe, while nothing else uses the stripe (the sweep
-  // holds its lock, takes it before anything else can run, or runs the step
-  // in place; DESIGN.md §17): describe into the empty `step` how to restore
-  // the replaced disk's unit of `stripe` (and any redundancy refreshed with
-  // it). Work due at step start may happen here; work due at its end goes in
-  // the finish hook. Neither may start I/O.
-  virtual void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) = 0;
+  // A source of background steps: the reconstruction sweep, the refresh
+  // pass, or a scheme's own walk (AFRAID's scrub). RunSteps asks it for each
+  // step's stripe, has it describe the step once nothing else uses the
+  // stripe, runs the step and reports back. Each driver keeps its own step:
+  // steps of different drivers can be in flight at once (a refresh step
+  // across a fail and replace while the sweep starts, a scrub step across a
+  // failure).
+  class StepDriver {
+   public:
+    virtual ~StepDriver() = default;
+    // The stripe of the next step, or -1 once the driver is done (it has
+    // then wrapped up).
+    virtual int64_t Next() = 0;
+    // Describes into the empty `step` the step on `stripe`. Work due at step
+    // start may happen here, work due at its end goes in the finish hook;
+    // neither may start I/O.
+    virtual void Describe(int64_t stripe, Step* step) = 0;
+    // After the finish hook, before the step's stripe is unlocked.
+    virtual void Settle(bool ok) { (void)ok; }
+    // After the unlock: whether to run the next step.
+    virtual bool Resume(bool ok) {
+      (void)ok;
+      return true;
+    }
+
+    DiskOpPurpose read_purpose = DiskOpPurpose::kRebuildRead;
+    DiskOpPurpose write_purpose = DiskOpPurpose::kRebuildWrite;
+    Step step;
+  };
+  // Runs `driver`'s steps until it is done, stops or waits for I/O. A step
+  // runs in place only when it starts from the previous step's own
+  // completion (`after_step`) and the array is quiescent; otherwise it takes
+  // the stripe lock and the event path.
+  void RunSteps(StepDriver* driver, bool after_step);
+  // Once per swept stripe: describe into `step` how to restore the replaced
+  // disk's unit of `stripe` (and any redundancy refreshed with it). Sweep
+  // ops cannot fail: FailDisk refuses a second failure while a disk
+  // recovers.
+  virtual void ReconstructStripe(int64_t stripe, int32_t target, Step* step) = 0;
   // Zeroes the replaced disk's units in the content model (it is blank).
   virtual void BlankReplacedDisk(int32_t disk);
   // Deferred redundancy. Whether a pass should start, or for kStep go on
@@ -201,10 +240,10 @@ class ArrayEngine : public ArrayScheme {
   }
   // The next refreshable stale key at/after `from`, wrapping; -1 if none.
   virtual int64_t NextRefreshKey(int64_t from) const;
-  // One refresh step: make `key` fresh, then run `step_join->Dec(ok)` once.
-  virtual void RefreshKey(int64_t key, JoinBlock* step_join) {
+  // Describes the refresh step that makes `key` fresh.
+  virtual void RefreshKey(int64_t key, Step* step) {
     (void)key;
-    step_join->Dec(false);
+    (void)step;
   }
   // Name of the per-step span on the rebuild track.
   virtual const char* RefreshStepName() const { return "band"; }
@@ -225,11 +264,19 @@ class ArrayEngine : public ArrayScheme {
   // and a live parity, under the stripe lock. If the sweep passed the stripe
   // while the lock was pending, a plain read. Runs `parent->Dec(true)`.
   void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
-  // Adds the sweep reads that restore data block `j_target` of `stripe`
+  // Adds the step reads that restore data block `j_target` of `stripe`
   // through parity `parity` (the other data blocks plus that parity), or a
   // parity unit when `j_target` < 0 (every data block).
-  void AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity,
-                    SweepStep* step) const;
+  void AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity, Step* step) const;
+  // With content tracking on, sets the P parity of bytes [rel, rel + len)
+  // of `stripe`'s units (len -1: the whole unit) to the xor of its data.
+  void RecomputeXorParity(int64_t stripe, int64_t rel = 0, int64_t len = -1);
+  // With content tracking on, restores data block `j_target` of `stripe`
+  // from the other blocks and P, or P from the data when `j_target` < 0.
+  void RestoreXorUnit(int64_t stripe, int32_t j_target);
+  // With content tracking on, stores client write `request_id`'s tags in
+  // the data sectors `seg` covers.
+  void ApplyWriteContent(uint64_t request_id, const Segment& seg);
   // Stale-mark updates; true iff the mark changed. A cleared key counts
   // toward any quiesce waiting for it, changed or not.
   bool MarkStale(int64_t key) { return nvram_.Mark(key); }
@@ -269,23 +316,62 @@ class ArrayEngine : public ArrayScheme {
   int64_t recovery_frontier_ = 0;
   bool reconstruction_active_ = false;
   uint64_t stripes_reconstructed_ = 0;
+  uint64_t stripes_refreshed_ = 0;  // Refresh steps with ops, all of them good.
 
   // Deferred redundancy: the stale-mark store.
   NvramBitmap nvram_;
 
  private:
-  // The sweep from `stripe` on. Steps run in place while the gate holds,
-  // which only a step's own completion (`after_step`) may test.
-  void ReconstructNextStripe(int64_t stripe, bool after_step);
-  // The event path of the described step.
-  void IssueSweepStep(int64_t stripe);
-  // Runs the described step in place if the array is quiescent and the
-  // step ends within the simulator's horizon; false leaves nothing changed.
-  bool RunSweepStepInline();
+  // The reconstruction sweep: the stripes with a unit on the recovering
+  // disk, in order, each step advancing the frontier.
+  class SweepDriver final : public StepDriver {
+   public:
+    explicit SweepDriver(ArrayEngine* engine) : e_(engine) {
+      read_purpose = DiskOpPurpose::kRecoveryRead;
+      write_purpose = DiskOpPurpose::kRecoveryWrite;
+    }
+    int64_t Next() override;
+    void Describe(int64_t stripe, Step* step) override {
+      e_->ReconstructStripe(stripe, e_->recovering_disk_, step);
+    }
+    void Settle(bool ok) override;  // Sweep ops cannot fail.
+    int64_t next = 0;  // The first stripe not yet swept.
+
+   private:
+    ArrayEngine* e_;
+  };
+  // The refresh pass: one stale key per step from the wrapping cursor, so a
+  // foreground request preempts the pass between steps and adjacent stale
+  // stripes coalesce; the start gate again after each step.
+  class RefreshDriver final : public StepDriver {
+   public:
+    explicit RefreshDriver(ArrayEngine* engine) : e_(engine) {}
+    int64_t Next() override;
+    void Describe(int64_t stripe, Step* step) override {
+      (void)stripe;
+      e_->RefreshKey(key_, step);
+    }
+    void Settle(bool ok) override;
+    bool Resume(bool ok) override;
+    int64_t cursor = 0;
+
+   private:
+    ArrayEngine* e_;
+    int64_t key_ = 0;  // The running step's.
+  };
+
+  // The event path of `driver`'s step on the locked `stripe`: the reads,
+  // then (`writes`) the writes, then the step's end.
+  void IssueStep(StepDriver* driver, int64_t stripe, bool writes);
+  // Runs `driver`'s described step in place if the array is quiescent and
+  // the step ends within the simulator's horizon; false leaves nothing
+  // changed.
+  bool RunStepInline(StepDriver* driver);
   // Updates one phase of an in-place step as the event path would.
   void CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purpose, int32_t sectors);
-  // Ends a step: the scheme's hook, the count and the frontier.
-  void CompleteSweepStep(int64_t stripe);
+  // Ends `driver`'s step: the finish hook if `ok`, Settle, the unlock of
+  // `locked` (-1: none), then Resume's answer.
+  bool EndStep(StepDriver* driver, bool ok, int64_t locked);
   void EndClient();
   // The refresh gate, checked before a pass and after each step: no disk
   // failed or recovering, and some key stale.
@@ -294,10 +380,10 @@ class ArrayEngine : public ArrayScheme {
   // rebuild-track pass spans cannot drift from the driver's state.
   void BeginRefreshPass();
   void EndRefreshPass();
-  void RefreshNext();
 
   std::function<void()> reconstruction_done_;
-  SweepStep sweep_step_;  // The running step (the sweep is serial).
+  SweepDriver sweep_{this};
+  RefreshDriver refresh_{this};
   // An in-place op: its disk, issue order, service window, byte offset and
   // direction, and start and final arm positions.
   struct InlineOp {
@@ -324,8 +410,8 @@ class ArrayEngine : public ArrayScheme {
   int32_t outstanding_clients_ = 0;
   std::unique_ptr<IdleDetector> idle_detector_;  // Only with stale slots.
   TimeWeightedValue busy_clients_;
+  const int32_t stale_slots_;
   bool refreshing_ = false;
-  int64_t refresh_cursor_ = 0;
   uint64_t refresh_passes_ = 0;
   struct Watcher {
     std::set<int64_t> waiting;

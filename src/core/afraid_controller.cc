@@ -42,7 +42,7 @@ SchemeStats AfraidController::Stats() const {
   s.mean_parity_lag_bytes = MeanParityLagBytes();
   s.t_unprot_fraction = TUnprotFraction();
   s.max_dirty_stripes = MaxDirtyStripes();
-  s.stripes_rebuilt = stripes_rebuilt_;
+  s.stripes_rebuilt = StripesRebuilt();
   s.rebuild_passes = RebuildPasses();
   s.afraid_mode_writes = afraid_mode_writes_;
   s.raid5_mode_writes = raid5_mode_writes_;
@@ -337,16 +337,7 @@ void AfraidController::ApplyDataWrite(uint64_t request_id, const Segment& seg) {
     staging_.Invalidate(key);
     read_cache_.Invalidate(key);
   }
-  if (content_ != nullptr) {
-    const int32_t sector = cfg_.disk_spec.sector_bytes;
-    const int32_t first = seg.offset_in_block / sector;
-    const int32_t count = seg.length / sector;
-    const int64_t logical_first = seg.logical_offset / sector;
-    for (int32_t i = 0; i < count; ++i) {
-      content_->SetData(seg.stripe, seg.block_in_stripe, first + i,
-                        ContentModel::MixTag(request_id, logical_first + i));
-    }
-  }
+  ApplyWriteContent(request_id, seg);
 }
 
 void AfraidController::Raid5WriteGroup(uint64_t request_id, int64_t stripe,
@@ -716,62 +707,31 @@ AfraidController::RedundancyClass AfraidController::RegionClassOf(
 
 // --- Background parity rebuild and paritypoints ------------------------------------
 
-void AfraidController::RefreshKey(int64_t key, JoinBlock* step_join) {
-  const SimTime start = sim_->Now();
-  locks_.Acquire(key / BandsPerStripe(), LockMode::kExclusive, [this, key, start, step_join] {
-    const int64_t stripe = key / BandsPerStripe();
-    // A racing RAID 5-mode write may have refreshed the parity while we waited.
-    const bool stale = nvram_.IsDirty(key);
-    JoinBlock* fin = joins_.Make(1, [this, key, stripe, stale, start, step_join](bool ok) {
-      if (ok && stale) {
-        ClearBandKey(key);
-        ++stripes_rebuilt_;
-      }
-      locks_.Release(stripe, LockMode::kExclusive);
-      if (ok) {
-        // Keep the predictor's rebuild-quantum estimate fresh (EWMA).
-        rebuild_step_estimate_ns_ +=
-            0.2 * (static_cast<double>(sim_->Now() - start) - rebuild_step_estimate_ns_);
-      }
-      step_join->Dec(ok);
-    });
-    if (!stale) {
-      fin->Dec(true);
-      return;
+void AfraidController::RefreshKey(int64_t key, Step* step) {
+  const int64_t stripe = key / BandsPerStripe();
+  // A racing RAID 5-mode write may have refreshed the parity while the step
+  // waited for its lock: then the step is empty.
+  const bool stale = nvram_.IsDirty(key);
+  if (stale) {
+    step->len = layout_->stripe_unit() / BandsPerStripe();
+    step->rel = key % BandsPerStripe() * step->len;
+    DescribeParityRewrite(stripe, step);
+  }
+  step->finish = [this, key, stripe, stale, start = step->start, rel = step->rel,
+                  len = step->len] {
+    if (stale) {
+      RecomputeXorParity(stripe, rel, len);
+      ClearBandKey(key);
     }
-    const int64_t band_height = layout_->stripe_unit() / BandsPerStripe();
-    RewriteParity(stripe, key % BandsPerStripe() * band_height, band_height, fin);
-  });
+    // Keep the predictor's rebuild-quantum estimate fresh (EWMA).
+    rebuild_step_estimate_ns_ +=
+        0.2 * (static_cast<double>(sim_->Now() - start) - rebuild_step_estimate_ns_);
+  };
 }
 
-void AfraidController::RewriteParity(int64_t stripe, int64_t rel, int64_t len,
-                                     JoinBlock* fin) {
-  const int32_t n = layout_->data_blocks_per_stripe();
-  JoinBlock* read_join = joins_.Make(n, [this, stripe, rel, len, fin](bool reads_ok) {
-    if (!reads_ok) {
-      fin->Dec(false);
-      return;
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    IssueDiskOp(pl.disk, pl.byte_offset + rel, len, /*is_write=*/true,
-                DiskOpPurpose::kRebuildWrite, [this, stripe, rel, len, fin](bool ok) {
-                  if (ok && content_ != nullptr) {
-                    // One batched sweep over the range's sectors.
-                    const int32_t sector = cfg_.disk_spec.sector_bytes;
-                    const auto first = static_cast<int32_t>(rel / sector);
-                    const auto count = static_cast<int32_t>(len / sector);
-                    parity_scratch_.resize(static_cast<size_t>(count));
-                    content_->XorOfDataRange(stripe, first, count, parity_scratch_.data());
-                    content_->SetParityRange(stripe, first, count, parity_scratch_.data());
-                  }
-                  fin->Dec(ok);
-                });
-  });
-  for (int32_t j = 0; j < n; ++j) {
-    const BlockLoc dl = layout_->DataLocation(stripe, j);
-    IssueDiskOp(dl.disk, dl.byte_offset + rel, len, /*is_write=*/false,
-                DiskOpPurpose::kRebuildRead, [read_join](bool ok) { read_join->Dec(ok); });
-  }
+void AfraidController::DescribeParityRewrite(int64_t stripe, Step* step) const {
+  AddPeerReads(stripe, -1, 0, step);
+  step->writes.push_back(layout_->ParityLocation(stripe));
 }
 
 void AfraidController::ParityPoint(int64_t offset, int64_t length,
@@ -785,7 +745,7 @@ void AfraidController::ParityPoint(int64_t offset, int64_t length,
 
 // --- Recovery sweeps -------------------------------------------------------------------
 
-void AfraidController::ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) {
+void AfraidController::ReconstructStripe(int64_t stripe, int32_t target, Step* step) {
   // A replaced parity unit is recomputed from the data, losslessly even for
   // a dirty stripe. A replaced data block is the xor of the other data
   // blocks and the parity; if the parity was stale at failure time the xor
@@ -802,19 +762,7 @@ void AfraidController::ReconstructStripe(int64_t stripe, int32_t target, SweepSt
   step->writes.push_back(j_target >= 0 ? layout_->DataLocation(stripe, j_target)
                                        : layout_->ParityLocation(stripe));
   step->finish = [this, stripe, j_target, dirty_bands] {
-    if (content_ != nullptr) {
-      const int32_t spu = content_->sectors_per_unit();
-      if (j_target < 0) {
-        parity_scratch_.resize(static_cast<size_t>(spu));
-        content_->XorOfDataAll(stripe, parity_scratch_.data());
-        content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
-      } else {
-        for (int32_t i = 0; i < spu; ++i) {
-          content_->SetData(stripe, j_target, i,
-                            content_->ReconstructData(stripe, j_target, i));
-        }
-      }
-    }
+    RestoreXorUnit(stripe, j_target);
     if (j_target >= 0 && dirty_bands > 0) {
       RecordLoss(LossCause::kStaleParityReconstruction, stripe,
                  dirty_bands * (layout_->stripe_unit() / cfg_.marks_per_stripe));
@@ -842,32 +790,33 @@ bool AfraidController::StartFullScrub(std::function<void()> done) {
   if (rebuild_probe_) {
     rebuild_probe_.AsyncBegin("scrub", 1, sim_->Now());
   }
-  ScrubNextStripe(0);
+  scrub_.next = 0;
+  RunSteps(&scrub_, /*after_step=*/false);
   return true;
 }
 
-void AfraidController::ScrubNextStripe(int64_t stripe) {
-  if (stripe >= layout_->num_stripes()) {
-    scrub_active_ = false;
-    if (rebuild_probe_) {
-      rebuild_probe_.AsyncEnd("scrub", 1, sim_->Now());
-    }
-    nvram_.Repair();
-    // Every stripe's parity is fresh: the true unprotected volume is zero
-    // again (the marking bits lost in the NVRAM failure are irrelevant now).
-    unprot_bytes_.Set(sim_->Now(), 0.0);
-    auto done = std::move(scrub_done_);
-    if (done) {
-      done();
-    }
-    return;
+int64_t AfraidController::ScrubDriver::Next() {
+  if (next < c_->layout_->num_stripes()) {
+    return next++;
   }
-  locks_.Acquire(stripe, LockMode::kExclusive, [this, stripe] {
-    RewriteParity(stripe, 0, layout_->stripe_unit(), joins_.Make(1, [this, stripe](bool) {
-      locks_.Release(stripe, LockMode::kExclusive);
-      ScrubNextStripe(stripe + 1);
-    }));
-  });
+  c_->scrub_active_ = false;
+  if (c_->rebuild_probe_) {
+    c_->rebuild_probe_.AsyncEnd("scrub", 1, c_->sim_->Now());
+  }
+  c_->nvram_.Repair();
+  // Every stripe's parity is fresh: the true unprotected volume is zero
+  // again (the marking bits lost in the NVRAM failure are irrelevant now).
+  c_->unprot_bytes_.Set(c_->sim_->Now(), 0.0);
+  auto done = std::move(c_->scrub_done_);
+  if (done) {
+    done();
+  }
+  return -1;
+}
+
+void AfraidController::ScrubDriver::Describe(int64_t stripe, Step* step) {
+  c_->DescribeParityRewrite(stripe, step);
+  step->finish = [this, stripe] { c_->RecomputeXorParity(stripe); };
 }
 
 // --- Functional read-back ------------------------------------------------------------

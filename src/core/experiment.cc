@@ -123,10 +123,11 @@ SimReport Experiment::Run() {
   // plan fed once. The replayer chains arrivals, so a plan split into chunks
   // walks the same event trajectory as the whole plan. Metric snapshots are
   // interleaved *between* events: before each event every whole sampling
-  // interval that elapses strictly before it is recorded. The clock never
-  // advances for a snapshot, so the run (and its SimReport) stays
-  // bit-identical to the unobserved one. Background rebuilds triggered by
-  // trailing idleness run in the final drain.
+  // interval that elapses strictly before it is recorded, and no event may
+  // run in-place work past the next snapshot. The clock never advances for
+  // a snapshot, so the run (and its SimReport) stays bit-identical to the
+  // unobserved one. Background rebuilds triggered by trailing idleness run
+  // in the final drain.
   std::unique_ptr<TraceChunkReader> reader;
   std::unique_ptr<StreamingPlanCompiler> compiler;
   if (streaming) {
@@ -155,7 +156,7 @@ SimReport Experiment::Run() {
           next_snap += interval;
         }
       }
-      sim.Step();
+      sim.Step(metrics != nullptr ? next_snap : kSimTimeNever);
     }
   };
   RequestPlan plan;  // An in-memory trace's whole plan; outlives the run.

@@ -140,8 +140,7 @@ void MirrorController::BlankReplacedDisk(int32_t disk) {
   }
 }
 
-void MirrorController::ReconstructStripe(int64_t stripe, int32_t target,
-                                         SweepStep* step) {
+void MirrorController::ReconstructStripe(int64_t stripe, int32_t target, Step* step) {
   const int32_t side = target % 2;
   const int32_t twin = side == 0 ? target + 1 : target - 1;
   const int64_t unit = layout_->stripe_unit();

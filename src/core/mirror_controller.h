@@ -57,7 +57,7 @@ class MirrorController : public ArrayEngine {
   void ReadSegment(const Segment& seg, JoinBlock* join) override;
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join) override;
   // Copies the column's block twin -> replacement.
-  void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) override;
+  void ReconstructStripe(int64_t stripe, int32_t target, Step* step) override;
   // Zeroes the replaced disk's copy: the data slot for the column's primary,
   // the twin slot for its secondary.
   void BlankReplacedDisk(int32_t disk) override;

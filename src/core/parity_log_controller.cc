@@ -46,19 +46,10 @@ void ParityLogController::UpdateContentForWrite(uint64_t request_id,
   if (content_ == nullptr) {
     return;
   }
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  const int32_t first = seg.offset_in_block / sector;
-  const int32_t count = seg.length / sector;
-  const int64_t logical_first = seg.logical_offset / sector;
-  for (int32_t i = 0; i < count; ++i) {
-    content_->SetData(seg.stripe, seg.block_in_stripe, first + i,
-                      ContentModel::MixTag(request_id, logical_first + i));
-  }
+  ApplyWriteContent(request_id, seg);
   // The images are durable, so the parity information is always live: the
   // content model tracks the post-replay parity directly.
-  parity_scratch_.resize(static_cast<size_t>(count));
-  content_->XorOfDataRange(seg.stripe, first, count, parity_scratch_.data());
-  content_->SetParityRange(seg.stripe, first, count, parity_scratch_.data());
+  RecomputeXorParity(seg.stripe, seg.offset_in_block, seg.length);
 }
 
 void ParityLogController::RunSegmentWrite(uint64_t request_id, const Segment& seg,
@@ -208,24 +199,11 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
 
 // --- Reconstruction sweep step ----------------------------------------------------
 
-void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target,
-                                            SweepStep* step) {
+void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target, Step* step) {
   const int32_t j_target = DataBlockOn(stripe, target);
   // Logical recovery first, at step start. Parity is always live (the
   // images are durable), so both directions are exact: no loss mode.
-  if (content_ != nullptr) {
-    const int32_t spu = content_->sectors_per_unit();
-    if (j_target >= 0) {
-      for (int32_t s = 0; s < spu; ++s) {
-        content_->SetData(stripe, j_target, s,
-                          content_->ReconstructData(stripe, j_target, s));
-      }
-    } else {
-      parity_scratch_.resize(static_cast<size_t>(spu));
-      content_->XorOfDataAll(stripe, parity_scratch_.data());
-      content_->SetParityRange(stripe, 0, spu, parity_scratch_.data());
-    }
-  }
+  RestoreXorUnit(stripe, j_target);
   AddPeerReads(stripe, j_target, 0, step);
   step->writes.push_back(j_target >= 0 ? layout_->DataLocation(stripe, j_target)
                                        : layout_->ParityLocation(stripe));

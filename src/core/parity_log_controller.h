@@ -99,7 +99,7 @@ class ParityLogController : public ArrayEngine {
   // Parks the segment while the log is hard-full, else RunSegmentWrite.
   void WriteSegment(uint64_t request_id, const Segment& seg, JoinBlock* join) override;
   // Parity is always live (the images are durable): lossless either way.
-  void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) override;
+  void ReconstructStripe(int64_t stripe, int32_t target, Step* step) override;
 
   void RunSegmentWrite(uint64_t request_id, const Segment& seg, JoinBlock* join);
   // Content bookkeeping for one committed write segment: data tags plus the

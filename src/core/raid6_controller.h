@@ -65,7 +65,7 @@ class Raid6Controller : public ArrayEngine {
   int64_t StaleP() const { return stale_p_; }
   int64_t StaleQ() const { return stale_q_; }
   // Background P+Q refreshes plus stripes restored by reconstruction sweeps.
-  uint64_t StripesRebuilt() const { return stripes_rebuilt_ + stripes_reconstructed_; }
+  uint64_t StripesRebuilt() const { return stripes_refreshed_ + stripes_reconstructed_; }
   // Time-average bytes covered by fewer than 2 / fewer than 1 parities.
   double MeanSingleExposedBytes() const { return q_only_stale_.MeanTo(sim_->Now()); }
   double MeanFullyExposedBytes() const { return both_stale_.MeanTo(sim_->Now()); }
@@ -86,7 +86,7 @@ class Raid6Controller : public ArrayEngine {
                         JoinBlock* group_join) override;
   // P when it is live, Q when only P is stale; lost when both are stale.
   int32_t DegradedReadParity(int64_t stripe, bool* lost) const override;
-  void ReconstructStripe(int64_t stripe, int32_t target, SweepStep* step) override;
+  void ReconstructStripe(int64_t stripe, int32_t target, Step* step) override;
   // Idle time only: a pass starts when the idle timer fires or the sweep
   // finishes, and yields to the next client request between stripes.
   bool WantRefresh(RefreshCue cue) override {
@@ -98,8 +98,8 @@ class Raid6Controller : public ArrayEngine {
     const int64_t key = ArrayEngine::NextRefreshKey(from);
     return key < 0 ? key : key | 1;
   }
-  // Recomputes a stale P (if any) and Q from the data under the stripe lock.
-  void RefreshKey(int64_t key, JoinBlock* step_join) override;
+  // Recomputes a stale P (if any) and Q from the data.
+  void RefreshKey(int64_t key, Step* step) override;
   const char* RefreshStepName() const override { return "stripe"; }
 
   // Degraded write: synchronous full-stripe P+Q recompute around the
@@ -114,12 +114,13 @@ class Raid6Controller : public ArrayEngine {
   // caller then runs UpdateExposure.
   void SetParityStale(int64_t stripe, int32_t which, bool stale);
   void UpdateExposure();
+  // With content tracking on, recomputes P and/or Q of `stripe` from its data.
+  void RecomputeParities(int64_t stripe, bool p, bool q);
 
   Raid6Mode mode_;
   int64_t stale_p_ = 0;
   int64_t stale_q_ = 0;
   int64_t max_stale_stripes_ = 0;
-  uint64_t stripes_rebuilt_ = 0;  // Background P+Q refreshes.
 
   uint64_t deferred_mode_writes_ = 0;  // Stripe writes with deferred parity.
   uint64_t sync_mode_writes_ = 0;      // Stripe writes with in-path parity.

@@ -26,14 +26,17 @@ void Simulator::RunToEnd() {
   }
 }
 
-bool Simulator::Step() {
+bool Simulator::Step(SimTime deadline) {
   if (queue_.Empty()) {
     return false;
   }
   auto fired = queue_.PopNext();
   now_ = fired.time;
   ++events_processed_;
+  const SimTime outer = deadline_;
+  deadline_ = std::min(deadline, outer);
   fired.fn();
+  deadline_ = outer;
   return true;
 }
 

@@ -50,8 +50,10 @@ class Simulator {
   // Runs until no events remain.
   void RunToEnd();
 
-  // Executes exactly one event, if any. Returns false if the queue was empty.
-  bool Step();
+  // Executes exactly one event, if any; its handler may not advance the
+  // clock past `deadline` (where the caller next looks at the state).
+  // Returns false if the queue was empty.
+  bool Step(SimTime deadline = kSimTimeNever);
 
   // True if no pending events remain.
   bool Idle() const { return queue_.Empty(); }
@@ -67,7 +69,7 @@ class Simulator {
 
   // The latest time an event handler may move the clock to with AdvanceTo:
   // strictly before the next pending event, and no later than the deadline
-  // of the running RunUntil (none under RunToEnd or a bare Step). A handler
+  // of the running RunUntil or Step (none under RunToEnd). A handler
   // that computes work in place of events it would otherwise schedule stays
   // within it, so no other event could have run in between.
   SimTime Horizon() const {
@@ -95,7 +97,7 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_ = 0;
-  SimTime deadline_ = kSimTimeNever;  // Of the running RunUntil.
+  SimTime deadline_ = kSimTimeNever;  // Of the running RunUntil or Step.
   uint64_t events_processed_ = 0;
 };
 
