@@ -67,6 +67,7 @@ ArrayEngine::ArrayEngine(Simulator* sim, const ArrayConfig& config,
     : sim_(sim),
       cfg_(config),
       layout_(std::move(layout)),
+      unit_scratch_(static_cast<size_t>(layout_->stripe_width())),
       nvram_(layout_->num_stripes() * stale_slots),
       busy_clients_(sim->Now()),
       stale_slots_(stale_slots) {
@@ -165,10 +166,15 @@ void ArrayEngine::IssueDiskOp(int32_t disk, int64_t byte_offset, int64_t length,
   }
 }
 
-int32_t ArrayEngine::DataBlockOn(int64_t stripe, int32_t disk) const {
-  for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-    if (layout_->DataDisk(stripe, j) == disk) {
-      return j;
+int32_t ArrayEngine::DataBlockOn(int64_t stripe, int32_t disk) {
+  const int32_t u = UnitOn(MapStripe(stripe), disk);
+  return u < layout_->data_blocks_per_stripe() ? u : -1;
+}
+
+int32_t ArrayEngine::UnitOn(const BlockLoc* units, int32_t disk) const {
+  for (int32_t u = 0; u < layout_->stripe_width(); ++u) {
+    if (units[u].disk == disk) {
+      return u;
     }
   }
   return -1;
@@ -367,20 +373,15 @@ bool ArrayEngine::ReplaceDisk(int32_t disk) {
 }
 
 void ArrayEngine::BlankReplacedDisk(int32_t disk) {
-  const int32_t spu = content_->sectors_per_unit();
+  const int32_t n = layout_->data_blocks_per_stripe();
   for (int64_t s : content_->TouchedStripes()) {
-    for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-      if (layout_->DataDisk(s, j) == disk) {
-        for (int32_t i = 0; i < spu; ++i) {
-          content_->SetData(s, j, i, 0);
-        }
-      }
-    }
-    for (int32_t w = 0; w < layout_->parity_blocks(); ++w) {
-      if (layout_->ParityDisk(s, w) == disk) {
-        for (int32_t i = 0; i < spu; ++i) {
-          content_->SetParity(s, i, 0, w);
-        }
+    // A stripe has at most one unit on any disk.
+    const int32_t u = UnitOn(MapStripe(s), disk);
+    for (int32_t i = 0; u >= 0 && i < content_->sectors_per_unit(); ++i) {
+      if (u < n) {
+        content_->SetData(s, u, i, 0);
+      } else {
+        content_->SetParity(s, i, 0, u - n);
       }
     }
   }
@@ -524,30 +525,34 @@ bool ArrayEngine::RunStepInline(StepDriver* driver) {
   inline_ops_.clear();
   const auto time_op = [&](const BlockLoc& loc, SimTime start) {
     const DiskModel& disk = *disks_[static_cast<size_t>(loc.disk)];
-    InlineOp io;
+    int32_t from = disk.CurrentCylinder();
+    for (const InlineOp& prev : inline_ops_) {
+      if (prev.disk == loc.disk) {
+        from = prev.cylinder;
+      }
+    }
+    // Built in place: pushing a copy would load the whole op back right
+    // after its fields were stored one by one, which stalls the CPU's store
+    // forwarding on the step's critical path (EXPERIMENTS.md).
+    InlineOp& io = inline_ops_.emplace_back();
     io.disk = loc.disk;
-    io.order = static_cast<int32_t>(inline_ops_.size());
+    io.order = static_cast<int32_t>(inline_ops_.size()) - 1;
     io.start = start;
     io.offset = loc.byte_offset + step.rel;
     io.is_write = op.is_write;
-    io.from = disk.CurrentCylinder();
-    for (const InlineOp& prev : inline_ops_) {
-      if (prev.disk == loc.disk) {
-        io.from = prev.cylinder;
-      }
-    }
+    io.from = from;
     // Every disk has the one spec and the platters' phase is the global
     // clock's, so an op equal to the previous one in start, offset,
     // direction and arm position (the size is the step's) takes the same
     // time and ends on the same cylinder (DESIGN.md §17).
-    if (!inline_ops_.empty() && inline_ops_.back().SameTiming(io)) {
-      io.finish = inline_ops_.back().finish;
-      io.cylinder = inline_ops_.back().cylinder;
+    const InlineOp* last = io.order > 0 ? &inline_ops_[static_cast<size_t>(io.order) - 1] : nullptr;
+    if (last != nullptr && last->SameTiming(io)) {
+      io.finish = last->finish;
+      io.cylinder = last->cylinder;
     } else {
       op.lba = io.offset / cfg_.disk_spec.sector_bytes;
       io.finish = start + disk.ComputeService(start, op, io.from, &io.cylinder).Total();
     }
-    inline_ops_.push_back(io);
     return io.finish;
   };
   SimTime reads_in = sim_->Now();
@@ -572,13 +577,23 @@ bool ArrayEngine::RunStepInline(StepDriver* driver) {
 
 void ArrayEngine::CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purpose,
                                     int32_t sectors) {
-  // The event path's order: submits in issue order, then completions by
-  // (finish, issue order), each the disk's queue counter, then its span.
   const auto begin = inline_ops_.begin() + static_cast<ptrdiff_t>(first);
   const auto stop = inline_ops_.begin() + static_cast<ptrdiff_t>(end);
   disk_ops_[static_cast<size_t>(purpose)] += end - first;
+  // A phase's ops sit on distinct disks, so serving each op whole keeps
+  // every disk's own order of updates.
   for (auto it = begin; it != stop; ++it) {
-    disks_[static_cast<size_t>(it->disk)]->BeginInline(it->start, it->cylinder);
+    disks_[static_cast<size_t>(it->disk)]->ServeInline(it->start, it->finish, it->cylinder,
+                                                       sectors);
+  }
+  // Every probe shares one tracer, so the rebuild track stands for all.
+  if (!rebuild_probe_) {
+    return;
+  }
+  // The event path's trace order: submits in issue order, then completions
+  // by (finish, issue order), each the disk's queue counter, then its span.
+  for (auto it = begin; it != stop; ++it) {
+    disks_[static_cast<size_t>(it->disk)]->TraceInline(it->start, 1.0);
   }
   // Issue order is completion order unless finish times differ.
   const auto by_completion = [](const InlineOp& a, const InlineOp& b) {
@@ -587,15 +602,8 @@ void ArrayEngine::CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purp
   if (!std::is_sorted(begin, stop, by_completion)) {
     std::sort(begin, stop, by_completion);
   }
-  // Every probe shares one tracer, so the rebuild track stands for all.
-  if (!rebuild_probe_) {
-    for (auto it = begin; it != stop; ++it) {
-      disks_[static_cast<size_t>(it->disk)]->EndInline(it->start, it->finish, sectors);
-    }
-    return;
-  }
   for (auto it = begin; it != stop; ++it) {
-    disks_[static_cast<size_t>(it->disk)]->EndInline(it->start, it->finish, sectors);
+    disks_[static_cast<size_t>(it->disk)]->TraceInline(it->finish, 0.0);
     disk_probes_[static_cast<size_t>(it->disk)].Complete(DiskOpPurposeName(purpose),
                                                          it->start, it->finish);
   }
@@ -603,9 +611,11 @@ void ArrayEngine::CommitInlinePhase(size_t first, size_t end, DiskOpPurpose purp
 
 bool ArrayEngine::EndStep(StepDriver* driver, bool ok, int64_t locked) {
   Step& step = driver->step;
-  auto finish = std::move(step.finish);
-  if (ok && finish) {
-    finish();
+  if (step.finish) {
+    auto finish = std::move(step.finish);
+    if (ok) {
+      finish();
+    }
   }
   driver->Settle(ok);
   step.reads.clear();
@@ -616,16 +626,27 @@ bool ArrayEngine::EndStep(StepDriver* driver, bool ok, int64_t locked) {
   return driver->Resume(ok);
 }
 
-void ArrayEngine::AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity,
+void ArrayEngine::AddPeerReads(const BlockLoc* units, int32_t j_target, int32_t parity,
                                Step* step) const {
-  for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
+  const int32_t n = layout_->data_blocks_per_stripe();
+  for (int32_t j = 0; j < n; ++j) {
     if (j != j_target) {
-      step->reads.push_back(layout_->DataLocation(stripe, j));
+      step->reads.push_back(units[j]);
     }
   }
   if (j_target >= 0) {
-    step->reads.push_back(layout_->ParityLocation(stripe, parity));
+    step->reads.push_back(units[n + parity]);
   }
+}
+
+int32_t ArrayEngine::DescribeXorRestore(int64_t stripe, int32_t target, Step* step) {
+  const BlockLoc* units = MapStripe(stripe);
+  const int32_t u = UnitOn(units, target);
+  assert(u >= 0);
+  const int32_t j_target = u < layout_->data_blocks_per_stripe() ? u : -1;
+  AddPeerReads(units, j_target, 0, step);
+  step->writes.push_back(units[u]);
+  return j_target;
 }
 
 void ArrayEngine::RecomputeXorParity(int64_t stripe, int64_t rel, int64_t len) {

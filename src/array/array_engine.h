@@ -259,15 +259,27 @@ class ArrayEngine : public ArrayScheme {
            (disk == recovering_disk_ && stripe >= recovery_frontier_);
   }
   // Index of the data block `disk` holds in `stripe`; -1 if it holds none.
-  int32_t DataBlockOn(int64_t stripe, int32_t disk) const;
+  int32_t DataBlockOn(int64_t stripe, int32_t disk);
+  // Every unit of `stripe` from one layout query: data blocks 0..N-1, then
+  // parity blocks. Scratch, valid until the next call.
+  const BlockLoc* MapStripe(int64_t stripe) {
+    layout_->UnitLocations(stripe, unit_scratch_.data());
+    return unit_scratch_.data();
+  }
+  // Index into a MapStripe result of the unit on `disk`; -1 if none.
+  int32_t UnitOn(const BlockLoc* units, int32_t disk) const;
   // Reconstructs a read segment whose disk is out from the surviving blocks
   // and a live parity, under the stripe lock. If the sweep passed the stripe
   // while the lock was pending, a plain read. Runs `parent->Dec(true)`.
   void DegradedReadSegment(const Segment& seg, JoinBlock* parent);
-  // Adds the step reads that restore data block `j_target` of `stripe`
-  // through parity `parity` (the other data blocks plus that parity), or a
-  // parity unit when `j_target` < 0 (every data block).
-  void AddPeerReads(int64_t stripe, int32_t j_target, int32_t parity, Step* step) const;
+  // Adds the step reads that restore data block `j_target` of the stripe
+  // `units` maps through parity `parity` (the other data blocks plus that
+  // parity), or a parity unit when `j_target` < 0 (every data block).
+  void AddPeerReads(const BlockLoc* units, int32_t j_target, int32_t parity,
+                    Step* step) const;
+  // Describes the reads and the write that restore `target`'s unit of
+  // `stripe` through P; returns its data block index, -1 for P.
+  int32_t DescribeXorRestore(int64_t stripe, int32_t target, Step* step);
   // With content tracking on, sets the P parity of bytes [rel, rel + len)
   // of `stripe`'s units (len -1: the whole unit) to the xor of its data.
   void RecomputeXorParity(int64_t stripe, int64_t rel = 0, int64_t len = -1);
@@ -307,6 +319,7 @@ class ArrayEngine : public ArrayScheme {
   VecPool<Segment> seg_pool_;
   VecPool<uint64_t> u64_pool_;
   std::vector<Segment> split_scratch_;    // Read splits (synchronous).
+  std::vector<BlockLoc> unit_scratch_;    // MapStripe's.
   std::vector<uint64_t> parity_scratch_;  // Batched parity recompute.
 
   // Failure state machine: at most one failed or recovering disk. Stripes

@@ -272,6 +272,17 @@ BlockLoc DeclusteredLayout::ParityLocation(int64_t stripe, int32_t which) const 
   return LocAt(u_to_t_[u], rot, pos);
 }
 
+void DeclusteredLayout::UnitLocations(int64_t stripe, BlockLoc* units) const {
+  // The positions right of the anchor in turn, wrapping: data, then parity.
+  const int64_t u = period_div_.Mod(stripe);
+  const int64_t rot = block_div_.Div(stripe);
+  int32_t pos = AnchorPosAt(u);
+  for (int32_t i = 0; i < stripe_width(); ++i) {
+    pos = pos + 1 == stripe_width() ? 0 : pos + 1;
+    units[i] = LocAt(u_to_t_[u], rot, pos);
+  }
+}
+
 int32_t DeclusteredLayout::AutoWidth(int32_t num_disks, int32_t parity_blocks) {
   int32_t k = (num_disks + 2) / 2;
   k = std::max(k, parity_blocks + 2);

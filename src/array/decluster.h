@@ -66,6 +66,7 @@ class DeclusteredLayout final : public ArrayLayout {
   int32_t DataDisk(int64_t stripe, int32_t j) const override;
   BlockLoc DataLocation(int64_t stripe, int32_t j) const override;
   BlockLoc ParityLocation(int64_t stripe, int32_t which = 0) const override;
+  void UnitLocations(int64_t stripe, BlockLoc* units) const override;
   bool StripeUsesDisk(int64_t stripe, int32_t disk) const override {
     return uses_[block_div_.Mod(stripe) * num_disks() + disk] != 0;
   }
@@ -89,13 +90,6 @@ class DeclusteredLayout final : public ArrayLayout {
   // Fraction of each surviving disk a single-disk rebuild reads.
   double declustering_ratio() const {
     return static_cast<double>(stripe_width() - 1) / (num_disks() - 1);
-  }
-  // Bytes of compiled placement tables.
-  size_t TableBytes() const {
-    return (member_disk_.size() + member_slot_.size() + u_to_t_.size() +
-            anchor_pos_u_.size()) *
-               sizeof(int32_t) +
-           uses_.size();
   }
 
   // Default stripe width for C disks: about half the array, clamped so a

@@ -117,4 +117,15 @@ BlockLoc StripeLayout::ParityLocation(int64_t stripe, int32_t which) const {
   return BlockLoc{ParityDisk(stripe, which), stripe * stripe_unit()};
 }
 
+void StripeLayout::UnitLocations(int64_t stripe, BlockLoc* units) const {
+  // The disks right of the anchor in turn, wrapping, are data blocks 0..N-1,
+  // then P, then (with two parity blocks) the anchor, Q.
+  const int64_t offset = stripe * stripe_unit();
+  int32_t disk = AnchorDisk(stripe);
+  for (int32_t u = 0; u < num_disks(); ++u) {
+    disk = disk + 1 == num_disks() ? 0 : disk + 1;
+    units[u] = BlockLoc{disk, offset};
+  }
+}
+
 }  // namespace afraid

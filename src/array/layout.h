@@ -113,6 +113,10 @@ class ArrayLayout {
   virtual BlockLoc DataLocation(int64_t stripe, int32_t j) const = 0;
   virtual BlockLoc ParityLocation(int64_t stripe, int32_t which = 0) const = 0;
 
+  // Every unit of `stripe` in one query, into `units` (stripe_width()
+  // entries): data blocks 0..N-1, then parity blocks 0..P-1.
+  virtual void UnitLocations(int64_t stripe, BlockLoc* units) const = 0;
+
   // True when `stripe` places any unit (data or parity) on `disk`. The
   // rebuild sweeps skip stripes that do not involve the replaced disk;
   // always true for the left-symmetric layout, where every stripe spans
@@ -181,6 +185,7 @@ class StripeLayout final : public ArrayLayout {
   int32_t DataDisk(int64_t stripe, int32_t j) const override;
   BlockLoc DataLocation(int64_t stripe, int32_t j) const override;
   BlockLoc ParityLocation(int64_t stripe, int32_t which = 0) const override;
+  void UnitLocations(int64_t stripe, BlockLoc* units) const override;
 
  private:
   // Anchor parity disk of `stripe` (Q when there are two parity blocks).

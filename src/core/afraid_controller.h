@@ -104,9 +104,6 @@ class AfraidController : public ArrayEngine {
   const IdlePredictor& idle_predictor() const { return idle_predictor_; }
   uint64_t AfraidModeStripeWrites() const { return afraid_mode_writes_; }
   uint64_t Raid5ModeStripeWrites() const { return raid5_mode_writes_; }
-  // True if the most recent stripe-write group took the RAID 5 path (the
-  // "current mode" gauge the metrics snapshots sample).
-  bool LastWriteModeRaid5() const { return last_write_raid5_; }
   int64_t MaxDirtyStripes() const { return max_dirty_; }
   uint64_t CacheHits() const { return read_cache_.Hits() + staging_.Hits(); }
   const ParityPolicy& policy() const { return *policy_; }
@@ -162,7 +159,7 @@ class AfraidController : public ArrayEngine {
 
   // The band step's and the scrub step's body: reads of every data block
   // and the parity write, over the step's byte range.
-  void DescribeParityRewrite(int64_t stripe, Step* step) const;
+  void DescribeParityRewrite(int64_t stripe, Step* step);
 
   // The NVRAM-loss scrub: every stripe's parity rewritten, in order. A
   // failed step leaves its stale parity to the next scrub.
@@ -194,7 +191,6 @@ class AfraidController : public ArrayEngine {
   void MarkBands(int64_t stripe, int32_t first_band, int32_t last_band);
   void ClearBandKey(int64_t key);
   void ClearAllBands(int64_t stripe);
-  bool AnyBandDirty(int64_t stripe) const;
   bool RangeDirty(int64_t stripe, int32_t offset_in_block, int32_t length) const;
   // Data-block cache key: global data-block index.
   int64_t BlockKey(int64_t stripe, int32_t j) const {

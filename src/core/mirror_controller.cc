@@ -58,12 +58,8 @@ void MirrorController::ReadSegment(const Segment& seg, JoinBlock* join) {
   op.lba = off / sector;
   op.sectors = seg.length / sector;
   op.is_write = false;
-  const int32_t pick = ChooseReplica(seg.stripe, primary, op);
-  if (pick != primary) {
-    ++replica_reads_;
-  }
-  IssueDiskOp(pick, off, seg.length, /*is_write=*/false, DiskOpPurpose::kClientRead,
-              [join](bool) { join->Dec(true); });
+  IssueDiskOp(ChooseReplica(seg.stripe, primary, op), off, seg.length, /*is_write=*/false,
+              DiskOpPurpose::kClientRead, [join](bool) { join->Dec(true); });
 }
 
 void MirrorController::WriteSegment(uint64_t request_id, const Segment& seg,
@@ -111,18 +107,6 @@ void MirrorController::WriteSegment(uint64_t request_id, const Segment& seg,
   });
 }
 
-bool MirrorController::StripeMirrorConsistent(int64_t stripe) const {
-  assert(content_ != nullptr);
-  for (int32_t j = 0; j < layout_->data_blocks_per_stripe(); ++j) {
-    for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
-      if (content_->GetData(stripe, j, s) != content_->GetParity(stripe, s, j)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 // --- Replacement and the sweep step -----------------------------------------------
 
 void MirrorController::BlankReplacedDisk(int32_t disk) {
@@ -144,11 +128,11 @@ void MirrorController::ReconstructStripe(int64_t stripe, int32_t target, Step* s
   const int32_t side = target % 2;
   const int32_t twin = side == 0 ? target + 1 : target - 1;
   const int64_t unit = layout_->stripe_unit();
-  // The column's block in this stripe (each column holds exactly one).
-  const int32_t jb = DataBlockOn(stripe, target / 2);
-  assert(jb >= 0);
   // Logical copy first, at step start: twin -> replacement, exact.
   if (content_ != nullptr) {
+    // The column's block in this stripe (each column holds exactly one).
+    const int32_t jb = DataBlockOn(stripe, target / 2);
+    assert(jb >= 0);
     for (int32_t s = 0; s < content_->sectors_per_unit(); ++s) {
       if (side == 0) {
         content_->SetData(stripe, jb, s, content_->GetParity(stripe, s, jb));

@@ -42,11 +42,6 @@ class MirrorController : public ArrayEngine {
   SchemeStats Stats() const override;
 
   // --- Introspection ---
-  // Reads won by the non-primary replica (the dispatch policy at work).
-  uint64_t ReplicaReads() const { return replica_reads_; }
-  // True iff both copies of every touched block agree per the content model.
-  bool StripeMirrorConsistent(int64_t stripe) const;
-
   // Replica-choice core, exposed for the dispatch benchmark: picks the disk
   // (primary or twin) that serves `op` fastest right now.
   int32_t ChooseReplica(int64_t stripe, int32_t primary, const DiskOp& op) const;
@@ -61,8 +56,6 @@ class MirrorController : public ArrayEngine {
   // Zeroes the replaced disk's copy: the data slot for the column's primary,
   // the twin slot for its secondary.
   void BlankReplacedDisk(int32_t disk) override;
-
-  uint64_t replica_reads_ = 0;
 };
 
 }  // namespace afraid

@@ -200,13 +200,9 @@ void ParityLogController::ReplayNextBatch(int64_t remaining_bytes) {
 // --- Reconstruction sweep step ----------------------------------------------------
 
 void ParityLogController::ReconstructStripe(int64_t stripe, int32_t target, Step* step) {
-  const int32_t j_target = DataBlockOn(stripe, target);
-  // Logical recovery first, at step start. Parity is always live (the
-  // images are durable), so both directions are exact: no loss mode.
-  RestoreXorUnit(stripe, j_target);
-  AddPeerReads(stripe, j_target, 0, step);
-  step->writes.push_back(j_target >= 0 ? layout_->DataLocation(stripe, j_target)
-                                       : layout_->ParityLocation(stripe));
+  // Logical recovery at step start. Parity is always live (the images are
+  // durable), so both directions are exact: no loss mode.
+  RestoreXorUnit(stripe, DescribeXorRestore(stripe, target, step));
 }
 
 SchemeState ParityLogController::State() const {

@@ -251,11 +251,13 @@ void Raid6Controller::WriteStripeGroup(uint64_t request_id, int64_t stripe,
 void Raid6Controller::RefreshKey(int64_t key, Step* step) {
   const int64_t stripe = key / 2;
   const bool p_needed = ParityStale(stripe, 0);
-  AddPeerReads(stripe, -1, 0, step);
+  const BlockLoc* units = MapStripe(stripe);
+  const int32_t n = layout_->data_blocks_per_stripe();
+  AddPeerReads(units, -1, 0, step);
   if (p_needed) {
-    step->writes.push_back(layout_->ParityLocation(stripe, 0));
+    step->writes.push_back(units[n]);
   }
-  step->writes.push_back(layout_->ParityLocation(stripe, 1));
+  step->writes.push_back(units[n + 1]);
   step->finish = [this, stripe, p_needed] {
     RecomputeParities(stripe, p_needed, true);
     SetParityStale(stripe, 0, false);
@@ -395,15 +397,11 @@ void Raid6Controller::DegradedWriteStripe(uint64_t request_id, int64_t stripe,
 void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target, Step* step) {
   const int32_t n = layout_->data_blocks_per_stripe();
   const int64_t unit = layout_->stripe_unit();
-  const int32_t j_target = DataBlockOn(stripe, target);
-  int32_t parity_target = -1;
-  for (int32_t w = 0; w < 2; ++w) {
-    if (layout_->ParityDisk(stripe, w) == target) {
-      parity_target = w;
-      break;
-    }
-  }
-  assert((j_target >= 0) != (parity_target >= 0));
+  const BlockLoc* units = MapStripe(stripe);
+  const int32_t u = UnitOn(units, target);
+  assert(u >= 0);
+  const int32_t j_target = u < n ? u : -1;
+  const int32_t parity_target = u < n ? -1 : u - n;
   const bool p_stale = ParityStale(stripe, 0);
   const bool q_stale = ParityStale(stripe, 1);
   // The sweep leaves every stripe behind the frontier fully redundant: it
@@ -440,15 +438,15 @@ void Raid6Controller::ReconstructStripe(int64_t stripe, int32_t target, Step* st
   // Timing: n reads either way (n-1 survivors + a live parity for a data
   // target; all n data blocks for a parity target), then the target write
   // plus any refreshed parity.
-  AddPeerReads(stripe, j_target, (!p_stale || q_stale) ? 0 : 1, step);
+  AddPeerReads(units, j_target, (!p_stale || q_stale) ? 0 : 1, step);
   if (j_target >= 0) {
-    step->writes.push_back(layout_->DataLocation(stripe, j_target));
+    step->writes.push_back(units[j_target]);
   }
   if (write_p) {
-    step->writes.push_back(layout_->ParityLocation(stripe, 0));
+    step->writes.push_back(units[n]);
   }
   if (write_q) {
-    step->writes.push_back(layout_->ParityLocation(stripe, 1));
+    step->writes.push_back(units[n + 1]);
   }
   step->finish = [this, stripe, write_p, write_q] {
     if (write_p) {

@@ -235,30 +235,6 @@ void DiskModel::CompleteSlot(int32_t index) {
   free_slots_.push_back(index);
 }
 
-void DiskModel::CountCompleted(SimTime start, SimTime finish, int32_t sectors) {
-  ++ops_completed_;
-  sectors_transferred_ += sectors;
-  service_times_.Add(ToMilliseconds(finish - start));
-}
-
-void DiskModel::BeginInline(SimTime start, int32_t end_cylinder) {
-  assert(Idle() && !failed_);
-  if (probe_) {
-    // Submit's sample: the op alone in the queue.
-    probe_.Counter(queue_counter_name_, start, 1.0);
-  }
-  busy_time_.Set(start, 1.0);
-  current_cylinder_ = end_cylinder;
-}
-
-void DiskModel::EndInline(SimTime start, SimTime finish, int32_t sectors) {
-  busy_time_.Set(finish, 0.0);
-  if (probe_) {
-    probe_.Counter(queue_counter_name_, finish, 0.0);
-  }
-  CountCompleted(start, finish, sectors);
-}
-
 void DiskModel::FailSlot(int32_t index) {
   OpSlot& s = Slot(index);
   DiskOpResult result;

@@ -16,6 +16,7 @@
 #ifndef AFRAID_DISK_DISK_MODEL_H_
 #define AFRAID_DISK_DISK_MODEL_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -111,12 +112,23 @@ class DiskModel {
 
   // Inline service of one op on an idle disk, for a caller that timed it
   // with ComputeService and knows no event can run before it finishes
-  // (ArrayEngine's sweep on a quiescent array, DESIGN.md §17): the state,
-  // statistics and queue-depth counter updates Submit + StartNext and then
-  // CompleteSlot make, without the events. BeginInline at the start (the arm
-  // moves to `end_cylinder`), EndInline at the finish.
-  void BeginInline(SimTime start, int32_t end_cylinder);
-  void EndInline(SimTime start, SimTime finish, int32_t sectors);
+  // (ArrayEngine's in-place steps, DESIGN.md §17): the state and statistics
+  // updates Submit + StartNext and then CompleteSlot make, in their order,
+  // without the events. The arm moves to `end_cylinder`.
+  void ServeInline(SimTime start, SimTime finish, int32_t end_cylinder, int32_t sectors) {
+    assert(Idle() && !failed_);
+    busy_time_.Set(start, 1.0);
+    current_cylinder_ = end_cylinder;
+    busy_time_.Set(finish, 0.0);
+    CountCompleted(start, finish, sectors);
+  }
+  // A traced caller's queue-depth sample for an inline op: 1 where Submit
+  // emits it, 0 where CompleteSlot does.
+  void TraceInline(SimTime time, double depth) {
+    if (probe_) {
+      probe_.Counter(queue_counter_name_, time, depth);
+    }
+  }
 
   // Lifetime statistics.
   uint64_t OpsCompleted() const { return ops_completed_; }
@@ -159,7 +171,11 @@ class DiskModel {
   // Completion event of a started op.
   void CompleteSlot(int32_t index);
   // The statistics of an op that completed on the live mechanism.
-  void CountCompleted(SimTime start, SimTime finish, int32_t sectors);
+  void CountCompleted(SimTime start, SimTime finish, int32_t sectors) {
+    ++ops_completed_;
+    sectors_transferred_ += sectors;
+    service_times_.Add(ToMilliseconds(finish - start));
+  }
   // Completion event of an op failed before service (queued at Fail(), or
   // submitted to a failed disk).
   void FailSlot(int32_t index);

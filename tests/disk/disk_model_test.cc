@@ -410,5 +410,51 @@ TEST(DiskModelProperty, DisksOfOneSpecTimeIdenticalOpsIdentically) {
   }
 }
 
+// ServeInline is Submit, StartNext and the completion in one call, for an op
+// whose caller timed it: a run of ops served in place, back to back with a
+// few idle gaps, leaves every observable exactly as the same ops submitted
+// to a twin disk one at a time.
+TEST(DiskModelProperty, ServeInlineMatchesSubmit) {
+  Simulator sim;
+  DiskModel events(&sim, DiskSpec::HpC3325Like(), 0);
+  DiskModel inline_disk(&sim, DiskSpec::HpC3325Like(), 1);
+  Rng rng(90210);
+  sim.After(Seconds(1), [] {});
+  sim.RunToEnd();
+  for (int i = 0; i < 200; ++i) {
+    if (i % 25 == 0) {
+      sim.After(MillisecondsF(20.0), [] {});
+      sim.RunToEnd();
+    }
+    DiskOp op;
+    op.sectors = static_cast<int32_t>(rng.UniformInt(1, 64));
+    op.lba = rng.UniformInt(0, events.TotalSectors() - op.sectors);
+    op.is_write = rng.Bernoulli(0.5);
+    const SimTime start = sim.Now();
+    events.Submit(op, [](const DiskOpResult&) {});
+    sim.RunToEnd();
+    int32_t end_cylinder = 0;
+    const SimTime finish =
+        start +
+        inline_disk.ComputeService(start, op, inline_disk.CurrentCylinder(), &end_cylinder)
+            .Total();
+    ASSERT_EQ(finish, sim.Now()) << "op " << i;
+    inline_disk.ServeInline(start, finish, end_cylinder, op.sectors);
+  }
+  const SimTime now = sim.Now() + MillisecondsF(5.0);
+  EXPECT_EQ(inline_disk.OpsCompleted(), events.OpsCompleted());
+  EXPECT_EQ(inline_disk.SectorsTransferred(), events.SectorsTransferred());
+  EXPECT_EQ(inline_disk.UtilizationTo(now), events.UtilizationTo(now));
+  EXPECT_GT(events.UtilizationTo(now), 0.5);
+  const StreamingStats& a = inline_disk.ServiceTimes();
+  const StreamingStats& b = events.ServiceTimes();
+  EXPECT_EQ(a.Count(), b.Count());
+  EXPECT_EQ(a.Mean(), b.Mean());
+  EXPECT_EQ(a.Variance(), b.Variance());
+  EXPECT_EQ(a.Min(), b.Min());
+  EXPECT_EQ(a.Max(), b.Max());
+  EXPECT_EQ(inline_disk.CurrentCylinder(), events.CurrentCylinder());
+}
+
 }  // namespace
 }  // namespace afraid
