@@ -18,6 +18,7 @@
 #include "array/content.h"
 #include "array/host_driver.h"
 #include "array/scheme.h"
+#include "core/afraid_controller.h"
 #include "core/experiment.h"
 #include "core/raid6_controller.h"
 #include "core/scheme_registry.h"
@@ -59,9 +60,11 @@ ArrayConfig ConfigFor(std::string param, std::string* scheme) {
 // One array of scheme-and-layout `param`, traced, behind a host driver.
 // AFRAID keeps `marks_per_stripe` stale marks (bands) per stripe.
 struct Rig {
-  explicit Rig(const std::string& param, int32_t marks_per_stripe = 1) {
+  explicit Rig(const std::string& param, int32_t marks_per_stripe = 1,
+               bool track_content = true) {
     cfg = ConfigFor(param, &scheme);
     cfg.marks_per_stripe = marks_per_stripe;
+    cfg.track_content = track_content;
     SchemeContext ctx{&sim, cfg, PolicySpec::AfraidBaseline(), AvailabilityParamsFor(cfg),
                       Probe(&tracer)};
     ctl = SchemeRegistry::Create(scheme, ctx);
@@ -609,6 +612,183 @@ TEST_P(RefreshInPlaceTest, InPlaceRefreshMatchesEventPath) {
   EXPECT_EQ(in_place.content, events.content);
   EXPECT_EQ(in_place.client_ms, events.client_ms);
   EXPECT_TRUE(in_place.trace == events.trace) << "trace events differ";
+}
+
+// What an AFRAID sweep without content tracking leaves behind, for
+// comparing two runs of it.
+struct QuiescedSweepOutcome {
+  SimTime recovered_at = -1;
+  uint64_t sweep_events = 0;
+  std::vector<SimTime> step_ends;
+  std::vector<SimTime> quiesced_at;  // -1: never ended.
+  int64_t dirty_marks = 0;
+  uint64_t stripes_reconstructed = 0;
+  uint64_t loss_events = 0;
+  std::vector<double> stats;  // Exposure, loss and op counters.
+  std::vector<uint64_t> disk_ops;
+  std::vector<double> disk_stats;
+  std::string trace;
+};
+
+// Without content tracking, an AFRAID sweep step's finish hook does only
+// stale-mark work. Leaves one band stale on each `dirty` stripe, then fails,
+// replaces and sweeps a data disk of stripe 0. If `at` is given, it asks at
+// those times for a paritypoint over the first dirty stripe, for a quiesce
+// of the whole array, and for an NVRAM loss while that quiesce waits. The
+// loss forgets the bands the quiesce waits for, and only the sweep's step on
+// their stripe ends it. With `force_events` every step takes the event path.
+QuiescedSweepOutcome QuiescedSweep(const std::string& param, bool force_events,
+                                   const std::vector<int64_t>& dirty,
+                                   const std::vector<SimTime>& at) {
+  Rig rig(param, /*marks_per_stripe=*/4, /*track_content=*/false);
+  QuiescedSweepOutcome out;
+  auto* ctl = dynamic_cast<AfraidController*>(rig.ctl.get());
+  if (ctl == nullptr) {
+    ADD_FAILURE() << "not an AFRAID scheme: " << param;
+    return out;
+  }
+  EXPECT_EQ(ctl->content(), nullptr);
+  Simulator& sim = rig.sim;
+  const ArrayLayout& lay = ctl->layout();
+  const int64_t quarter = kBlock / 4;
+  for (size_t i = 0; i < dirty.size(); ++i) {
+    rig.driver->Submit(lay.LogicalOffsetOf(dirty[i], 1) + static_cast<int64_t>(i % 4) * quarter,
+                       quarter, true);
+  }
+  while (!rig.driver->Drained()) {
+    sim.Step();
+  }
+  EXPECT_EQ(ctl->State().dirty_marks, static_cast<int64_t>(dirty.size()));
+  const int32_t victim = lay.DataDisk(0, 0);
+  EXPECT_TRUE(ctl->FailDisk(victim));
+  EXPECT_TRUE(ctl->ReplaceDisk(victim));
+  out.quiesced_at.assign(2, -1);
+  if (!at.empty()) {
+    sim.At(at[0], [&] {
+      ctl->ParityPoint(lay.LogicalOffsetOf(dirty[0], 1), kBlock,
+                       [&] { out.quiesced_at[0] = sim.Now(); });
+    });
+    sim.At(at[1], [&] { ctl->RebuildAll([&] { out.quiesced_at[1] = sim.Now(); }); });
+    sim.At(at[2], [&] { EXPECT_TRUE(ctl->FailNvram()); });
+  }
+  const uint64_t events_before = sim.EventsProcessed();
+  bool done = false;
+  EXPECT_TRUE(ctl->StartReconstruction([&] {
+    done = true;
+    out.recovered_at = sim.Now();
+    out.sweep_events = sim.EventsProcessed() - events_before;
+  }));
+  std::function<void()> tick = [&] {
+    if (!done) {
+      sim.After(Microseconds(50), tick);
+    }
+  };
+  if (force_events) {
+    tick();
+  }
+  // A fixed end: the time averages run to it.
+  sim.RunUntil(Seconds(30));
+  EXPECT_TRUE(done);
+
+  const SchemeState state = ctl->State();
+  const SchemeStats stats = ctl->Stats();
+  out.dirty_marks = state.dirty_marks;
+  out.stripes_reconstructed = stats.stripes_reconstructed;
+  out.loss_events = stats.loss_events;
+  out.stats = {state.parity_lag_bytes,
+               stats.mean_parity_lag_bytes,
+               stats.t_unprot_fraction,
+               static_cast<double>(stats.max_dirty_stripes),
+               static_cast<double>(stats.stripes_rebuilt),
+               static_cast<double>(stats.bytes_lost),
+               static_cast<double>(stats.disk_ops_total),
+               static_cast<double>(stats.disk_ops_rebuild)};
+  for (int32_t d = 0; d < ctl->num_disks(); ++d) {
+    const DiskModel& disk = ctl->disk(d);
+    out.disk_ops.push_back(disk.OpsCompleted());
+    out.disk_ops.push_back(static_cast<uint64_t>(disk.SectorsTransferred()));
+    const StreamingStats& st = disk.ServiceTimes();
+    out.disk_stats.insert(out.disk_stats.end(),
+                          {disk.UtilizationTo(out.recovered_at), static_cast<double>(st.Count()),
+                           st.Mean(), st.Variance(), st.Min(), st.Max()});
+  }
+  // A step's writes all start when its last read is in.
+  SimTime writes_start = -1;
+  for (const TraceEvent& ev : rig.tracer.events()) {
+    if (ev.phase == 'X' && ev.name == "recovery write") {
+      if (ev.ts != writes_start) {
+        writes_start = ev.ts;
+        out.step_ends.push_back(ev.ts + ev.dur);
+      }
+      out.step_ends.back() = std::max(out.step_ends.back(), ev.ts + ev.dur);
+    }
+  }
+  out.trace = rig.tracer.ToJson();
+  return out;
+}
+
+// An AFRAID sweep without content tracking, across stale bands, a
+// paritypoint that starts during a step and an NVRAM loss while a quiesce
+// waits: the in-place run must be exactly the all-events run, down to
+// when each quiesce ends, the stale marks, exposure, losses and the trace.
+TEST(AfraidSweepWithoutContent, InPlaceMatchesEventPathAcrossQuiesces) {
+  for (const std::string param : {"afraid", "afraid+declustered"}) {
+    SCOPED_TRACE(param);
+    // The stripes the sweep visits, in step order.
+    Rig rig(param);
+    ASSERT_NE(rig.ctl, nullptr);
+    const ArrayLayout& lay = rig.ctl->layout();
+    const int32_t victim = lay.DataDisk(0, 0);
+    std::vector<int64_t> swept;
+    for (int64_t s = 0; s < lay.num_stripes(); ++s) {
+      if (lay.StripeUsesDisk(s, victim)) {
+        swept.push_back(s);
+      }
+    }
+    const size_t n = swept.size();
+    ASSERT_GE(n, 40u);
+    // Stale bands a quarter, half and three quarters through the sweep.
+    const std::vector<int64_t> dirty = {swept[n / 4], swept[n / 2], swept[3 * n / 4]};
+    const QuiescedSweepOutcome quiet = QuiescedSweep(param, false, dirty, {});
+    ASSERT_EQ(quiet.step_ends.size(), n);
+    EXPECT_EQ(quiet.dirty_marks, 0);
+    // The paritypoint starts an eighth through the sweep, the quiesce three
+    // eighths through, the NVRAM loss five eighths through (after the
+    // second dirty stripe's step, before the third's), each within a step.
+    const auto within_step = [&](size_t k) {
+      return (quiet.step_ends[k - 1] + quiet.step_ends[k]) / 2;
+    };
+    const std::vector<SimTime> at = {within_step(n / 8), within_step(3 * n / 8),
+                                     within_step(5 * n / 8)};
+    const QuiescedSweepOutcome in_place = QuiescedSweep(param, false, dirty, at);
+    const QuiescedSweepOutcome events = QuiescedSweep(param, true, dirty, at);
+    // Each quiesce ends with the step on the last stripe it waits for.
+    EXPECT_EQ(in_place.quiesced_at[0], quiet.step_ends[n / 4]);
+    EXPECT_EQ(in_place.quiesced_at[1], quiet.step_ends[3 * n / 4]);
+    // The first two dirty stripes lose their stale band where the victim
+    // held data; the NVRAM loss forgot the third's.
+    uint64_t losses = 0;
+    for (size_t i : {0, 1}) {
+      losses += lay.ParityDisk(dirty[i]) != victim;
+    }
+    EXPECT_GT(losses, 0u);
+    EXPECT_EQ(in_place.loss_events, losses);
+    EXPECT_EQ(in_place.dirty_marks, 0);
+    EXPECT_EQ(in_place.stripes_reconstructed, n);
+    EXPECT_LT(in_place.sweep_events, events.sweep_events);
+
+    EXPECT_EQ(in_place.recovered_at, events.recovered_at);
+    EXPECT_EQ(in_place.recovered_at, quiet.recovered_at);
+    EXPECT_EQ(in_place.step_ends, events.step_ends);
+    EXPECT_EQ(in_place.quiesced_at, events.quiesced_at);
+    EXPECT_EQ(in_place.dirty_marks, events.dirty_marks);
+    EXPECT_EQ(in_place.stripes_reconstructed, events.stripes_reconstructed);
+    EXPECT_EQ(in_place.loss_events, events.loss_events);
+    EXPECT_EQ(in_place.stats, events.stats);
+    EXPECT_EQ(in_place.disk_ops, events.disk_ops);
+    EXPECT_EQ(in_place.disk_stats, events.disk_stats);
+    EXPECT_TRUE(in_place.trace == events.trace) << "trace events differ";
+  }
 }
 
 std::string SchemeTestName(const ::testing::TestParamInfo<std::string>& info) {
