@@ -127,6 +127,42 @@ TEST(Decluster, CollisionFreePerfectTilingBothLayouts) {
   ExpectCollisionFreePerfectTiling(fano);
 }
 
+// UnitLocations writes the role ring a second time, as one loop from the
+// anchor; every unit must equal the per-unit query for every stripe of at
+// least one full placement period (`period` stripes).
+void ExpectUnitLocationsMatchPerUnitQueries(const ArrayLayout& lay, int64_t period) {
+  ASSERT_GE(lay.num_stripes(), period);
+  const int32_t n = lay.data_blocks_per_stripe();
+  std::vector<BlockLoc> units(static_cast<size_t>(lay.stripe_width()));
+  for (int64_t s = 0; s < lay.num_stripes(); ++s) {
+    lay.UnitLocations(s, units.data());
+    for (int32_t j = 0; j < n; ++j) {
+      EXPECT_EQ(units[static_cast<size_t>(j)], lay.DataLocation(s, j))
+          << "stripe " << s << " data block " << j;
+    }
+    for (int32_t w = 0; w < lay.parity_blocks(); ++w) {
+      EXPECT_EQ(units[static_cast<size_t>(n + w)], lay.ParityLocation(s, w))
+          << "stripe " << s << " parity " << w;
+    }
+  }
+}
+
+TEST(Decluster, UnitLocationsMatchPerUnitQueries) {
+  // Left-symmetric with no parity (the mirror's columns), P, and P+Q.
+  for (int32_t parity : {0, 1, 2}) {
+    StripeLayout stripe(8, 8192, 50 * 8192, parity);
+    ExpectUnitLocationsMatchPerUnitQueries(stripe, stripe.num_disks());
+  }
+  for (int32_t parity : {1, 2}) {
+    DeclusteredLayout decl(8, 8192, 200 * 8192, parity, 5);
+    ExpectUnitLocationsMatchPerUnitQueries(
+        decl, int64_t{decl.blocks_per_rotation()} * decl.stripe_width());
+    DeclusteredLayout plane(13, 8192, 100 * 8192, parity, 4);
+    ExpectUnitLocationsMatchPerUnitQueries(
+        plane, int64_t{plane.blocks_per_rotation()} * plane.stripe_width());
+  }
+}
+
 TEST(Decluster, StripeUsesDiskMatchesMembership) {
   DeclusteredLayout lay(13, 8192, 1000 * 8192, 1, 4);
   for (int64_t s = 0; s < lay.num_stripes(); ++s) {
