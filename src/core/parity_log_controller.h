@@ -101,7 +101,14 @@ class ParityLogController : public ArrayEngine {
   // Parity is always live (the images are durable): lossless either way.
   void ReconstructStripe(int64_t stripe, int32_t target, Step* step) override;
 
-  void RunSegmentWrite(uint64_t request_id, const Segment& seg, JoinBlock* join);
+  // Write attempt `attempt` of one segment: the read-modify-write on its
+  // data disk, or the image alone while that disk is out.
+  void RunSegmentWrite(uint64_t request_id, const Segment& seg, JoinBlock* join,
+                       int32_t attempt);
+  // Commits a good attempt's content and images, unlocks, then reruns a
+  // failed attempt or completes the segment.
+  void EndSegmentWrite(uint64_t request_id, const Segment& seg, JoinBlock* join,
+                       int32_t attempt, bool ok);
   // Content bookkeeping for one committed write segment: data tags plus the
   // always-recoverable parity over the touched range.
   void UpdateContentForWrite(uint64_t request_id, const Segment& seg);

@@ -83,7 +83,9 @@ class Raid6Controller : public ArrayEngine {
   // --- Engine hooks ---
   // The mode's write path; DegradedWriteStripe while a disk is out.
   void WriteStripeGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
-                        JoinBlock* group_join) override;
+                        JoinBlock* group_join) override {
+    RunWriteGroup(request_id, stripe, segs, 0, group_join);
+  }
   // P when it is live, Q when only P is stale; lost when both are stale.
   int32_t DegradedReadParity(int64_t stripe, bool* lost) const override;
   void ReconstructStripe(int64_t stripe, int32_t target, Step* step) override;
@@ -102,10 +104,17 @@ class Raid6Controller : public ArrayEngine {
   void RefreshKey(int64_t key, Step* step) override;
   const char* RefreshStepName() const override { return "stripe"; }
 
+  // Write attempt `attempt` of a stripe group. A failed pre-read issues no
+  // write; a failed op fails the group, which reruns (AFRAID's rule).
+  void RunWriteGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                     int32_t attempt, JoinBlock* group_join);
+  // Unlocks the stripe, then reruns a failed group or completes it.
+  void EndWriteGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                     int32_t attempt, bool ok, JoinBlock* group_join);
   // Degraded write: synchronous full-stripe P+Q recompute around the
   // unavailable disk (the RAID 6 analogue of AFRAID's forced RAID 5 mode).
-  void DegradedWriteStripe(uint64_t request_id, int64_t stripe,
-                           Span<Segment> segs, JoinBlock* group_join);
+  void DegradedWriteStripe(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                           int32_t attempt, JoinBlock* group_join);
   // Stale slots: key stripe * 2 + which (0 = P, 1 = Q).
   bool ParityStale(int64_t stripe, int32_t which) const {
     return nvram_.IsDirty(stripe * 2 + which);
