@@ -293,34 +293,29 @@ void AfraidController::AfraidWriteGroup(uint64_t request_id, int64_t stripe,
       MarkBands(stripe, first, last);
     }
     TriggerRefresh(RefreshCue::kActivity);
-
-    auto finish = [this, request_id, stripe, segs, attempt,
-                   group_join](bool all_ok) {
-      locks_.Release(stripe, LockMode::kShared);
-      if (!all_ok && attempt < 2) {
-        // A disk died under us: rerun this group through the (now degraded)
-        // RAID 5 path, which routes around the failed mechanism.
-        RunStripeWriteGroup(request_id, stripe, segs, attempt + 1, group_join);
-        return;
-      }
-      group_join->Dec(true);
+    Step* step = NewWriteStep();
+    DescribeRmw(request_id, stripe, segs, /*k=*/0, step);
+    step->end = [this, request_id, stripe, segs, attempt, group_join](bool ok) {
+      EndWriteGroup(request_id, stripe, segs, attempt, LockMode::kShared, ok, group_join);
     };
-    JoinBlock* join = joins_.Make(segs.count, finish);
-    for (const Segment& seg : segs) {
-      const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
-      const int64_t off = dl.byte_offset + seg.offset_in_block;
-      IssueDiskOp(dl.disk, off, seg.length, /*is_write=*/true, DiskOpPurpose::kClientWrite,
-                  [this, request_id, seg, join](bool ok) {
-                    if (ok) {
-                      ApplyDataWrite(request_id, seg);
-                    }
-                    join->Dec(ok);
-                  });
-    }
+    IssueStep(step);
   });
 }
 
-void AfraidController::ApplyDataWrite(uint64_t request_id, const Segment& seg) {
+void AfraidController::EndWriteGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
+                                     int32_t attempt, LockMode mode, bool ok,
+                                     JoinBlock* group_join) {
+  locks_.Release(stripe, mode);
+  if (!ok && attempt < 2) {
+    // A disk died under us: rerun this group through the (now degraded)
+    // RAID 5 path, which routes around the failed mechanism.
+    RunStripeWriteGroup(request_id, stripe, segs, attempt + 1, group_join);
+    return;
+  }
+  group_join->Dec(true);
+}
+
+void AfraidController::OnDataWritten(uint64_t request_id, const Segment& seg) {
   const int64_t key = BlockKey(seg.stripe, seg.block_in_stripe);
   if (seg.length == layout_->stripe_unit()) {
     staging_.Insert(key);
@@ -339,341 +334,41 @@ void AfraidController::Raid5WriteGroup(uint64_t request_id, int64_t stripe,
   locks_.Acquire(stripe, LockMode::kExclusive, [this, request_id, stripe, segs,
                                                 attempt, group_join] {
     const int32_t n = layout_->data_blocks_per_stripe();
-    const int64_t unit = layout_->stripe_unit();
     // A stale band under any written range forces a from-scratch parity
     // recompute; stale bands *outside* the written ranges do not (per-band
-    // parity validity is exactly what sub-stripe marking buys).
+    // parity validity is exactly what sub-stripe marking buys). So does a
+    // degraded stripe (a pre-read might need the dead or not yet
+    // reconstructed disk), and a group covering more than the configured
+    // fraction of the stripe; the rest read-modify-write.
     bool dirty = false;
-    for (const Segment& seg : segs) {
-      if (RangeDirty(stripe, seg.offset_in_block, seg.length)) {
-        dirty = true;
-        break;
-      }
-    }
-
-    // Which data blocks does this group touch, and fully or partially? The
-    // by-block table is reused scratch, consumed synchronously below (the
-    // write steps re-derive anything they need from the segment span).
-    by_block_scratch_.assign(static_cast<size_t>(n), nullptr);
-    int32_t covered = 0;
     int32_t fully_covered = 0;
     for (const Segment& seg : segs) {
-      assert(by_block_scratch_[static_cast<size_t>(seg.block_in_stripe)] == nullptr);
-      by_block_scratch_[static_cast<size_t>(seg.block_in_stripe)] = &seg;
-      ++covered;
-      if (seg.length == unit) {
-        ++fully_covered;
-      }
+      dirty = dirty || RangeDirty(stripe, seg.offset_in_block, seg.length);
+      fully_covered += seg.length == layout_->stripe_unit() ? 1 : 0;
     }
-    const bool full_stripe = (fully_covered == n);
-    // A stale-parity stripe cannot be RMW'd (the old parity is garbage), and
-    // neither can a degraded stripe (a pre-read might need the dead or
-    // not-yet-reconstructed disk); both recompute parity from scratch.
-    // Otherwise pick reconstruct-write when the group touches more than the
-    // configured fraction of the stripe.
-    const bool degraded = StripeDegraded(stripe);
-    const bool reconstruct =
-        !full_stripe &&
-        (dirty || degraded ||
-         static_cast<double>(covered) >
-             cfg_.reconstruct_write_fraction * static_cast<double>(n));
-
-    const bool full_parity_rewrite = full_stripe || reconstruct;
-    auto finish = [this, request_id, stripe, segs, attempt, full_parity_rewrite,
-                   group_join](bool all_ok) {
-      if (all_ok && full_parity_rewrite) {
+    const bool rewrite =
+        fully_covered == n || dirty || StripeDegraded(stripe) ||
+        static_cast<double>(segs.count) > cfg_.reconstruct_write_fraction * static_cast<double>(n);
+    Step* step = NewWriteStep();
+    if (rewrite) {
+      DescribeReconstructWrite(request_id, stripe, segs, /*k=*/1, failed_disk_,
+                               /*read_partial=*/true, step);
+    } else {
+      DescribeRmw(request_id, stripe, segs, /*k=*/1, step);
+    }
+    step->end = [this, request_id, stripe, segs, attempt, rewrite, group_join](bool ok) {
+      if (ok && rewrite) {
         ClearAllBands(stripe);  // The full parity unit is fresh again.
       }
-      locks_.Release(stripe, LockMode::kExclusive);
-      if (!all_ok && attempt < 2) {
-        RunStripeWriteGroup(request_id, stripe, segs, attempt + 1, group_join);
-        return;
-      }
-      group_join->Dec(true);
+      EndWriteGroup(request_id, stripe, segs, attempt, LockMode::kExclusive, ok, group_join);
     };
-    JoinBlock* fin = joins_.Make(1, finish);
-
-    if (full_stripe) {
-      WriteFullStripe(request_id, stripe, segs, fin);
-    } else if (reconstruct) {
-      ReconstructWrite(request_id, stripe, segs, fin);
-    } else {
-      ReadModifyWrite(request_id, stripe, segs, fin);
-    }
+    IssueStep(step);
   });
 }
 
-void AfraidController::WriteFullStripe(uint64_t request_id, int64_t stripe,
-                                       Span<Segment> segs, JoinBlock* fin) {
-  const int64_t unit = layout_->stripe_unit();
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  const auto spu = static_cast<int32_t>(unit / sector);
-
-  // Precompute the new parity: xor of the new data values at each position.
-  // The pooled buffer lives until this step's join fires (the parity-write
-  // callback reads it); released in the join's completion.
-  std::vector<uint64_t>* pv = nullptr;
-  if (content_ != nullptr) {
-    pv = u64_pool_.Acquire();
-    pv->assign(static_cast<size_t>(spu), 0);
-    for (const Segment& seg : segs) {
-      const int64_t logical_first = seg.logical_offset / sector;
-      for (int32_t i = 0; i < spu; ++i) {
-        (*pv)[static_cast<size_t>(i)] ^=
-            ContentModel::MixTag(request_id, logical_first + i);
-      }
-    }
-  }
-
-  JoinBlock* join = joins_.Make(segs.count + 1, [this, pv, fin](bool ok) {
-    if (pv != nullptr) {
-      u64_pool_.Release(pv);
-    }
-    fin->Dec(ok);
-  });
-  for (const Segment& seg : segs) {
-    const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
-    if (dl.disk == failed_disk_) {
-      // The data lives on implicitly via parity (degraded full-stripe write).
-      sim_->After(0, [join] { join->Dec(true); });
-      continue;
-    }
-    IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/true,
-                DiskOpPurpose::kClientWrite, [this, request_id, seg, join](bool ok) {
-                  if (ok) {
-                    ApplyDataWrite(request_id, seg);
-                  }
-                  join->Dec(ok);
-                });
-  }
-  const BlockLoc pl = layout_->ParityLocation(stripe);
-  if (pl.disk == failed_disk_) {
-    sim_->After(0, [join] { join->Dec(true); });
-  } else {
-    IssueDiskOp(pl.disk, pl.byte_offset, unit, /*is_write=*/true, DiskOpPurpose::kParityWrite,
-                [this, stripe, pv, spu, join](bool ok) {
-                  if (ok && content_ != nullptr) {
-                    for (int32_t i = 0; i < spu; ++i) {
-                      content_->SetParity(stripe, i, (*pv)[static_cast<size_t>(i)]);
-                    }
-                  }
-                  join->Dec(ok);
-                });
-  }
-}
-
-void AfraidController::ReconstructWrite(uint64_t request_id, int64_t stripe,
-                                        Span<Segment> segs, JoinBlock* fin) {
-  const int32_t n = layout_->data_blocks_per_stripe();
-  const int64_t unit = layout_->stripe_unit();
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-  const auto spu = static_cast<int32_t>(unit / sector);
-
-  // Precompute the post-write parity now: the exclusive lock guarantees no
-  // other mutation of this stripe until we finish, so current content is
-  // exactly what the companion reads will observe. by_block_scratch_ (filled
-  // by the caller) is consumed synchronously within this call; the pooled
-  // parity buffer lives until the write phase's join fires.
-  std::vector<uint64_t>* pv = nullptr;
-  if (content_ != nullptr) {
-    pv = u64_pool_.Acquire();
-    pv->assign(static_cast<size_t>(spu), 0);
-    for (int32_t j = 0; j < n; ++j) {
-      const Segment* seg = by_block_scratch_[static_cast<size_t>(j)];
-      for (int32_t i = 0; i < spu; ++i) {
-        uint64_t v = content_->GetData(stripe, j, i);
-        if (seg != nullptr) {
-          const int32_t first = seg->offset_in_block / sector;
-          const int32_t count = seg->length / sector;
-          if (i >= first && i < first + count) {
-            v = ContentModel::MixTag(request_id,
-                                     seg->logical_offset / sector + (i - first));
-          }
-        }
-        (*pv)[static_cast<size_t>(i)] ^= v;
-      }
-    }
-  }
-
-  // Phase 1: read (fully) every data block that is not fully overwritten.
-  auto write_phase = [this, request_id, stripe, segs, spu, pv,
-                      fin](bool reads_ok) {
-    if (!reads_ok) {
-      if (pv != nullptr) {
-        u64_pool_.Release(pv);
-      }
-      fin->Dec(false);
-      return;
-    }
-    const int64_t unit2 = layout_->stripe_unit();
-    JoinBlock* join = joins_.Make(segs.count + 1, [this, pv, fin](bool ok) {
-      if (pv != nullptr) {
-        u64_pool_.Release(pv);
-      }
-      fin->Dec(ok);
-    });
-    for (const Segment& seg : segs) {
-      const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
-      if (dl.disk == failed_disk_) {
-        sim_->After(0, [join] { join->Dec(true); });
-        continue;
-      }
-      const int64_t off = dl.byte_offset + seg.offset_in_block;
-      IssueDiskOp(dl.disk, off, seg.length, /*is_write=*/true,
-                  DiskOpPurpose::kClientWrite, [this, request_id, seg, join](bool ok) {
-                    if (ok) {
-                      ApplyDataWrite(request_id, seg);
-                    }
-                    join->Dec(ok);
-                  });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    if (pl.disk == failed_disk_) {
-      sim_->After(0, [join] { join->Dec(true); });
-    } else {
-      IssueDiskOp(pl.disk, pl.byte_offset, unit2, /*is_write=*/true,
-                  DiskOpPurpose::kParityWrite,
-                  [this, stripe, pv, spu, join](bool ok) {
-                    if (ok && content_ != nullptr) {
-                      for (int32_t i = 0; i < spu; ++i) {
-                        content_->SetParity(stripe, i,
-                                            (*pv)[static_cast<size_t>(i)]);
-                      }
-                    }
-                    join->Dec(ok);
-                  });
-    }
-  };
-
-  int32_t reads_needed = 0;
-  for (int32_t j = 0; j < n; ++j) {
-    const Segment* seg = by_block_scratch_[static_cast<size_t>(j)];
-    const bool fully = seg != nullptr && seg->length == unit;
-    const int32_t disk = layout_->DataDisk(stripe, j);
-    if (!fully && disk != failed_disk_) {
-      ++reads_needed;
-    }
-  }
-  if (reads_needed == 0) {
-    write_phase(true);
-    return;
-  }
-  JoinBlock* read_join = joins_.Make(reads_needed, write_phase);
-  for (int32_t j = 0; j < n; ++j) {
-    const Segment* seg = by_block_scratch_[static_cast<size_t>(j)];
-    const bool fully = seg != nullptr && seg->length == unit;
-    const BlockLoc dl = layout_->DataLocation(stripe, j);
-    if (fully || dl.disk == failed_disk_) {
-      continue;
-    }
-    IssueDiskOp(dl.disk, dl.byte_offset, unit, /*is_write=*/false,
-                DiskOpPurpose::kReconstructRead,
-                [read_join](bool ok) { read_join->Dec(ok); });
-  }
-}
-
-void AfraidController::ReadModifyWrite(uint64_t request_id, int64_t stripe,
-                                       Span<Segment> segs, JoinBlock* fin) {
-  const int32_t sector = cfg_.disk_spec.sector_bytes;
-
-  // The parity span: the union byte range within the stripe unit touched by
-  // any segment (parity changes exactly where data changes).
-  int32_t span_lo = INT32_MAX;
-  int32_t span_hi = 0;
-  for (const Segment& seg : segs) {
-    span_lo = std::min(span_lo, seg.offset_in_block);
-    span_hi = std::max(span_hi, seg.offset_in_block + seg.length);
-  }
-
-  // Precompute the xor delta (old ^ new) per parity sector in the span; the
-  // exclusive lock makes "old" well defined for the whole group lifetime.
-  // Pooled buffer, released when the write phase's join fires (or on a
-  // failed read phase).
-  const int32_t span_sectors = (span_hi - span_lo) / sector;
-  std::vector<uint64_t>* delta = nullptr;
-  if (content_ != nullptr) {
-    delta = u64_pool_.Acquire();
-    delta->assign(static_cast<size_t>(span_sectors), 0);
-    for (const Segment& seg : segs) {
-      const int32_t first = seg.offset_in_block / sector;
-      const int32_t count = seg.length / sector;
-      const int64_t logical_first = seg.logical_offset / sector;
-      for (int32_t i = 0; i < count; ++i) {
-        const uint64_t old_v =
-            content_->GetData(stripe, seg.block_in_stripe, first + i);
-        const uint64_t new_v = ContentModel::MixTag(request_id, logical_first + i);
-        (*delta)[static_cast<size_t>(first + i - span_lo / sector)] ^= old_v ^ new_v;
-      }
-    }
-  }
-
-  auto write_phase = [this, request_id, stripe, segs, span_lo, span_hi, sector,
-                      delta, fin](bool reads_ok) {
-    if (!reads_ok) {
-      if (delta != nullptr) {
-        u64_pool_.Release(delta);
-      }
-      fin->Dec(false);
-      return;
-    }
-    JoinBlock* join = joins_.Make(segs.count + 1, [this, delta, fin](bool ok) {
-      if (delta != nullptr) {
-        u64_pool_.Release(delta);
-      }
-      fin->Dec(ok);
-    });
-    for (const Segment& seg : segs) {
-      const BlockLoc dl = layout_->DataLocation(stripe, seg.block_in_stripe);
-      const int64_t off = dl.byte_offset + seg.offset_in_block;
-      IssueDiskOp(dl.disk, off, seg.length, /*is_write=*/true,
-                  DiskOpPurpose::kClientWrite, [this, request_id, seg, join](bool ok) {
-                    if (ok) {
-                      ApplyDataWrite(request_id, seg);
-                    }
-                    join->Dec(ok);
-                  });
-    }
-    const BlockLoc pl = layout_->ParityLocation(stripe);
-    IssueDiskOp(pl.disk, pl.byte_offset + span_lo, span_hi - span_lo, /*is_write=*/true,
-                DiskOpPurpose::kParityWrite,
-                [this, stripe, span_lo, sector, delta, join](bool ok) {
-                  if (ok && content_ != nullptr) {
-                    const int32_t first = span_lo / sector;
-                    for (size_t i = 0; i < delta->size(); ++i) {
-                      const auto s = first + static_cast<int32_t>(i);
-                      content_->SetParity(stripe, s,
-                                          content_->GetParity(stripe, s) ^ (*delta)[i]);
-                    }
-                  }
-                  join->Dec(ok);
-                });
-  };
-
-  // Phase 1: pre-read old data (skipped on controller cache hits) and old
-  // parity. These are the extra critical-path I/Os AFRAID eliminates. The
-  // need-read table is reused scratch, consumed before this call returns.
-  int32_t reads_needed = 1;  // Parity span.
-  need_read_scratch_.clear();
-  for (const Segment& seg : segs) {
-    const int64_t key = BlockKey(stripe, seg.block_in_stripe);
-    if (read_cache_.Lookup(key) || staging_.Lookup(key)) {
-      continue;  // Old contents already in the controller.
-    }
-    need_read_scratch_.push_back(&seg);
-    ++reads_needed;
-  }
-  JoinBlock* read_join = joins_.Make(reads_needed, write_phase);
-  for (const Segment* seg : need_read_scratch_) {
-    const BlockLoc dl = layout_->DataLocation(stripe, seg->block_in_stripe);
-    const int64_t off = dl.byte_offset + seg->offset_in_block;
-    IssueDiskOp(dl.disk, off, seg->length, /*is_write=*/false,
-                DiskOpPurpose::kOldDataRead,
-                [read_join](bool ok) { read_join->Dec(ok); });
-  }
-  const BlockLoc pl = layout_->ParityLocation(stripe);
-  IssueDiskOp(pl.disk, pl.byte_offset + span_lo, span_hi - span_lo, /*is_write=*/false,
-              DiskOpPurpose::kOldParityRead,
-              [read_join](bool ok) { read_join->Dec(ok); });
+bool AfraidController::OldDataCached(int64_t stripe, int32_t j) {
+  const int64_t key = BlockKey(stripe, j);
+  return read_cache_.Lookup(key) || staging_.Lookup(key);
 }
 
 void AfraidController::SetRegionClass(int64_t offset, int64_t length,
@@ -725,7 +420,7 @@ void AfraidController::RefreshKey(int64_t key, Step* step) {
 void AfraidController::DescribeParityRewrite(int64_t stripe, Step* step) {
   const BlockLoc* units = MapStripe(stripe);
   AddPeerReads(units, -1, 0, step);
-  step->writes.push_back(units[layout_->data_blocks_per_stripe()]);
+  step->Write(units[layout_->data_blocks_per_stripe()]);
 }
 
 void AfraidController::ParityPoint(int64_t offset, int64_t length,

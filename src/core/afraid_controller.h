@@ -11,13 +11,14 @@
 //   AFRAID mode:  take the stripe shared, write the data, mark the stripe
 //                 unredundant in NVRAM. One disk I/O in the critical path.
 //   RAID 5 mode:  take the stripe exclusively, then either
-//                   - full-stripe write (covers all N data blocks),
 //                   - reconstruct-write (read untouched blocks, recompute
 //                     parity from scratch) when most of the stripe changes
-//                     or when the stripe's parity is already stale, or
+//                     (a full-stripe write reads nothing), when the stripe's
+//                     parity is already stale or when it is degraded, or
 //                   - read-modify-write (pre-read old data + old parity,
 //                     xor-delta, write data + parity) for small updates --
 //                 the classic 4-I/O small-update penalty of Section 1.
+//                 Both are the engine's k-parity write steps with k = 1.
 //
 // Background parity rebuilds run on the engine's refresh driver, which sweeps
 // the NVRAM dirty set in ascending order (adjacent dirty stripes coalesce
@@ -134,28 +135,28 @@ class AfraidController : public ArrayEngine {
 
   // --- Client paths ---
   // The write-path plumbing hands pooled storage around: `segs` spans point
-  // into a seg_pool_ vector owned by the request's join, `fin`/`group_join`
-  // are pooled join blocks, and the callbacks must not retain any of them
-  // past their completion (the arena reuse contract, see DESIGN.md).
+  // into a seg_pool_ vector owned by the request's join, `group_join` is a
+  // pooled join block, and the steps must not retain any of them past their
+  // end (the arena reuse contract, see DESIGN.md).
   void RunStripeWriteGroup(uint64_t request_id, int64_t stripe,
                            Span<Segment> segs, int32_t attempt,
                            JoinBlock* group_join);
+  // AFRAID mode: the data writes alone, under a shared lock.
   void AfraidWriteGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                         int32_t attempt, JoinBlock* group_join);
+  // RAID 5 mode: a read-modify-write or a reconstruct-write.
   void Raid5WriteGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs,
                        int32_t attempt, JoinBlock* group_join);
-  // Each runs `fin->Dec(ok)` exactly once when the whole step completes.
-  void WriteFullStripe(uint64_t request_id, int64_t stripe, Span<Segment> segs,
-                       JoinBlock* fin);
-  void ReconstructWrite(uint64_t request_id, int64_t stripe, Span<Segment> segs,
-                        JoinBlock* fin);
-  void ReadModifyWrite(uint64_t request_id, int64_t stripe, Span<Segment> segs,
-                       JoinBlock* fin);
+  // Unlocks the stripe, then reruns a failed group or completes it.
+  void EndWriteGroup(uint64_t request_id, int64_t stripe, Span<Segment> segs, int32_t attempt,
+                     LockMode mode, bool ok, JoinBlock* group_join);
+  // Cache hits skip a read-modify-write's old-data pre-read.
+  bool OldDataCached(int64_t stripe, int32_t j) override;
+  // Caches and content after one data-segment write.
+  void OnDataWritten(uint64_t request_id, const Segment& seg) override;
   // Degraded read without a re-check after the lock: stale bands found at
   // completion are charged as loss. Runs `parent->Dec(true)`.
   void AfraidDegradedRead(const Segment& seg, JoinBlock* parent);
-  // Post-completion bookkeeping of one data-segment write (caches, content).
-  void ApplyDataWrite(uint64_t request_id, const Segment& seg);
 
   // The band step's and the scrub step's body: reads of every data block
   // and the parity write, over the step's byte range.
@@ -210,10 +211,8 @@ class AfraidController : public ArrayEngine {
   BlockLruCache read_cache_;
   BlockLruCache staging_;
 
-  // Synchronous-only scratch vectors reused across calls.
+  // Synchronous-only scratch reused across calls.
   mutable std::vector<Segment> read_back_scratch_;   // ReadLogicalCurrent.
-  std::vector<const Segment*> by_block_scratch_;     // Raid5WriteGroup.
-  std::vector<const Segment*> need_read_scratch_;    // ReadModifyWrite.
 
   SimTime start_time_;
 
