@@ -64,12 +64,9 @@ int main(int argc, char** argv) {
       pos.size() > 1 ? std::strtoull(pos[1].c_str(), nullptr, 10) : 30000;
 
   if (scheme_arg == "list" || scheme_arg == "--scheme=list") {
-    for (const std::string& name : SchemeRegistry::List()) {
-      std::printf("%-14s %s\n", name.c_str(),
-                  SchemeRegistry::Find(name)->description.c_str());
+    for (const auto& [name, description] : SchemeRegistry::Catalog()) {
+      std::printf("%-14s %s\n", name.c_str(), description.c_str());
     }
-    std::printf("%-14s %s\n", "raid5",
-                "afraid under the always-synchronous-parity policy");
     return 0;
   }
 
@@ -80,12 +77,7 @@ int main(int argc, char** argv) {
   cfg.array.layout = layout;
   cfg.array.decluster_width = decluster_width;
   cfg.spares = spares;
-  if (scheme_arg == "raid5") {
-    cfg.scheme = "afraid";  // The policy picks the write path.
-    cfg.policy = PolicySpec::Raid5();
-  } else if (SchemeRegistry::Find(scheme_arg) != nullptr) {
-    cfg.scheme = scheme_arg;
-  } else {
+  if (!SchemeRegistry::Resolve(scheme_arg, &cfg.scheme, &cfg.policy)) {
     std::fprintf(stderr,
                  "unknown scheme '%s' (try 'list' for the registry)\n",
                  scheme_arg.c_str());

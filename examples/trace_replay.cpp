@@ -10,9 +10,10 @@
 //
 // Flags (before or after the positional arguments):
 //   --scheme NAME       replay on one registered array scheme
-//                       (src/core/scheme_registry.h) instead of the default
+//                       (src/core/scheme_registry.h), or on "raid5" (afraid
+//                       under the always-sync policy), instead of the default
 //                       RAID 0 / RAID 5 / AFRAID comparison; `--scheme list`
-//                       prints the registry and exits
+//                       prints the names and exits
 //   --stream            replay through the fixed-memory streaming pipeline
 //                       (TraceChunkReader + StreamingPlanCompiler) instead of
 //                       loading the whole trace; prints a trailing
@@ -89,13 +90,16 @@ int main(int argc, char** argv) {
     }
   }
   if (scheme == "list") {
-    for (const std::string& name : SchemeRegistry::List()) {
-      std::printf("%-14s %s\n", name.c_str(),
-                  SchemeRegistry::Find(name)->description.c_str());
+    for (const auto& [name, description] : SchemeRegistry::Catalog()) {
+      std::printf("%-14s %s\n", name.c_str(), description.c_str());
     }
     return 0;
   }
-  if (!scheme.empty() && SchemeRegistry::Find(scheme) == nullptr) {
+  // --scheme NAME: one row, any registered organization or the raid5 alias,
+  // under the baseline policy unless the name fixes one.
+  std::string built = scheme;
+  PolicySpec scheme_policy = PolicySpec::AfraidBaseline();
+  if (!scheme.empty() && !SchemeRegistry::Resolve(scheme, &built, &scheme_policy)) {
     std::fprintf(stderr, "unknown scheme '%s' (try '--scheme list')\n",
                  scheme.c_str());
     return 2;
@@ -133,7 +137,7 @@ int main(int argc, char** argv) {
     if (!scheme.empty()) {
       // One scheme: size offsets to its client-visible capacity (smaller than
       // RAID 5's for mirroring and parity logging).
-      params.address_space_bytes = SchemeRegistry::DataCapacityBytes(scheme, cfg);
+      params.address_space_bytes = SchemeRegistry::DataCapacityBytes(built, cfg);
     } else {
       const auto lay =
           MakeLayout(cfg.layout, cfg.num_disks, cfg.stripe_unit_bytes,
@@ -186,13 +190,12 @@ int main(int argc, char** argv) {
 
   StreamStats peak;  // Max across the schemes (they ingest identically).
   // Default: the paper's three-way policy comparison on the AFRAID scheme.
-  // --scheme NAME: one row, any registered organization.
   std::vector<PolicySpec> specs;
   if (scheme.empty()) {
     specs = {PolicySpec::Raid5(), PolicySpec::AfraidBaseline(),
              PolicySpec::Raid0()};
   } else {
-    specs = {PolicySpec::AfraidBaseline()};
+    specs = {scheme_policy};
   }
   std::printf("\n%-10s %10s %10s %10s %10s %12s %12s\n", "scheme", "mean ms",
               "median", "95th", "max", "MTTDL all/h", "MDLR B/h");
@@ -200,7 +203,7 @@ int main(int argc, char** argv) {
     Experiment exp(cfg);
     exp.Policy(spec);
     if (!scheme.empty()) {
-      exp.Scheme(scheme);
+      exp.Scheme(built);
     }
     if (stream) {
       StreamOptions sopts;

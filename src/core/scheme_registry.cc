@@ -179,6 +179,29 @@ std::unique_ptr<ArrayScheme> SchemeRegistry::Create(const std::string& name,
   return info->create(normalized);
 }
 
+bool SchemeRegistry::Resolve(const std::string& name, std::string* scheme,
+                             PolicySpec* policy) {
+  if (name == "raid5") {
+    *scheme = "afraid";  // The policy picks the write path.
+    *policy = PolicySpec::Raid5();
+    return true;
+  }
+  if (Find(name) == nullptr) {
+    return false;
+  }
+  *scheme = name;
+  return true;
+}
+
+std::vector<std::pair<std::string, std::string>> SchemeRegistry::Catalog() {
+  std::vector<std::pair<std::string, std::string>> names;
+  for (const SchemeInfo& info : Schemes()) {
+    names.emplace_back(info.name, info.description);
+  }
+  names.emplace_back("raid5", "afraid under the always-synchronous-parity policy");
+  return names;
+}
+
 RedundancyScheme SchemeRegistry::AvailSchemeFor(const std::string& name,
                                                 const PolicySpec& policy) {
   const SchemeInfo* info = Find(name);

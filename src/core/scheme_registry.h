@@ -13,6 +13,7 @@
 //   "raid6-deferPQ" Raid6Controller, both deferred
 //   "parity-log"    ParityLogController
 //   "mirror"        MirrorController (RAID 1/0, SPTF read dispatch)
+// and one alias, "raid5": "afraid" under the always-synchronous policy.
 
 #ifndef AFRAID_CORE_SCHEME_REGISTRY_H_
 #define AFRAID_CORE_SCHEME_REGISTRY_H_
@@ -20,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/scheme.h"
@@ -86,6 +88,15 @@ class SchemeRegistry {
   // Returns nullptr for unknown names.
   static std::unique_ptr<ArrayScheme> Create(const std::string& name,
                                              const SchemeContext& ctx);
+
+  // Resolves a name a CLI accepts: a registered scheme, or the alias "raid5"
+  // (AFRAID under PolicySpec::Raid5()). Sets the scheme to build and, for the
+  // alias, its policy (left as is otherwise); false for an unknown name.
+  static bool Resolve(const std::string& name, std::string* scheme, PolicySpec* policy);
+
+  // Every name Resolve accepts with its description: the registered schemes
+  // in List() order, then the alias.
+  static std::vector<std::pair<std::string, std::string>> Catalog();
 
   // Availability pricing scheme for a controller built as `name` under
   // `policy` (only "afraid" consults the policy).

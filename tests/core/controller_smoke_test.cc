@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "array/host_driver.h"
 #include "core/afraid_controller.h"
 #include "core/array_config.h"
 #include "core/experiment.h"
 #include "core/policy.h"
+#include "core/scheme_registry.h"
 #include "sim/simulator.h"
 
 namespace afraid {
@@ -127,6 +129,36 @@ TEST(ControllerSmoke, ExperimentHarnessRuns) {
   EXPECT_GT(rep.duration_s, 0.0);
   EXPECT_GT(rep.stripes_rebuilt, 0u);
   EXPECT_GT(rep.avail.mttdl_disk_hours, 0.0);
+}
+
+// The CLIs' one name resolver: "raid5" is AFRAID under the RAID 5 policy,
+// registered names build themselves and keep the caller's policy, unknown
+// names are refused, and the catalogue the CLIs list names the alias.
+TEST(SchemeRegistryNames, Raid5AliasResolvesAndUnknownNamesAreRefused) {
+  std::string scheme;
+  PolicySpec policy = PolicySpec::AfraidBaseline();
+  ASSERT_TRUE(SchemeRegistry::Resolve("raid5", &scheme, &policy));
+  EXPECT_EQ(scheme, "afraid");
+  EXPECT_EQ(policy.Label(), PolicySpec::Raid5().Label());
+
+  policy = PolicySpec::AfraidBaseline();
+  ASSERT_TRUE(SchemeRegistry::Resolve("raid6-deferQ", &scheme, &policy));
+  EXPECT_EQ(scheme, "raid6-deferQ");
+  EXPECT_EQ(policy.Label(), PolicySpec::AfraidBaseline().Label());
+
+  scheme = "unchanged";
+  EXPECT_FALSE(SchemeRegistry::Resolve("raid7", &scheme, &policy));
+  EXPECT_FALSE(SchemeRegistry::Resolve("", &scheme, &policy));
+  EXPECT_EQ(scheme, "unchanged");
+
+  const auto catalog = SchemeRegistry::Catalog();
+  ASSERT_EQ(catalog.size(), SchemeRegistry::List().size() + 1);
+  EXPECT_EQ(catalog.back().first, "raid5");
+  for (const auto& entry : catalog) {
+    std::string built;
+    PolicySpec p;
+    EXPECT_TRUE(SchemeRegistry::Resolve(entry.first, &built, &p)) << entry.first;
+  }
 }
 
 }  // namespace
