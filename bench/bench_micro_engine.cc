@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/experiment.h"
 #include "core/mirror_controller.h"
 #include "core/policy.h"
+#include "core/scheme_registry.h"
 #include "disk/disk_model.h"
 #include "disk/seek_model.h"
 #include "faultsim/campaign.h"
@@ -246,18 +248,25 @@ void BM_NvramNextDirtySweep(benchmark::State& state) {
 BENCHMARK(BM_NvramNextDirtySweep);
 
 // End-to-end client path: a burst of small writes through the host driver,
-// AFRAID controller and disks, then the idle rebuild sweep that re-protects
-// every marked stripe. This is the steady-state loop the table/figure
-// harnesses run millions of times.
-void BM_ControllerWritePath(benchmark::State& state) {
+// the controller of scheme `name` (a registry name or the raid5 alias) and
+// the disks, then for AFRAID the idle rebuild sweep that re-protects every
+// marked stripe. This is the steady-state loop the table/figure harnesses
+// run millions of times; each scheme takes its own write path.
+void ControllerWritePath(benchmark::State& state, const char* name) {
   ArrayConfig cfg;
+  std::string scheme;
+  PolicySpec policy = PolicySpec::AfraidBaseline();
+  if (!SchemeRegistry::Resolve(name, &scheme, &policy)) {
+    state.SkipWithError("unknown scheme");
+    return;
+  }
   for (auto _ : state) {
     Simulator sim;
-    AfraidController array(&sim, cfg, MakePolicy(PolicySpec::AfraidBaseline()),
-                           AvailabilityParamsFor(cfg));
-    HostDriver driver(&sim, &array, cfg.MaxActive());
+    const SchemeContext ctx{&sim, cfg, policy, AvailabilityParamsFor(cfg), Probe()};
+    const std::unique_ptr<ArrayScheme> array = SchemeRegistry::Create(scheme, ctx);
+    HostDriver driver(&sim, array.get(), cfg.MaxActive());
     Rng rng(42);
-    const int64_t units = array.DataCapacityBytes() / cfg.stripe_unit_bytes;
+    const int64_t units = array->DataCapacityBytes() / cfg.stripe_unit_bytes;
     for (int i = 0; i < 512; ++i) {
       const int64_t off = rng.UniformInt(0, units - 2) * cfg.stripe_unit_bytes;
       driver.Submit(off, 8192, /*is_write=*/true);
@@ -269,7 +278,11 @@ void BM_ControllerWritePath(benchmark::State& state) {
     benchmark::DoNotOptimize(driver.WriteLatencies().Mean());
   }
 }
+void BM_ControllerWritePath(benchmark::State& state) { ControllerWritePath(state, "afraid"); }
 BENCHMARK(BM_ControllerWritePath);
+BENCHMARK_CAPTURE(ControllerWritePath, raid5, "raid5")->Name("BM_ControllerWritePath/raid5");
+BENCHMARK_CAPTURE(ControllerWritePath, raid6, "raid6")->Name("BM_ControllerWritePath/raid6");
+BENCHMARK_CAPTURE(ControllerWritePath, mirror, "mirror")->Name("BM_ControllerWritePath/mirror");
 
 // The mirrored scheme's replica-choice read dispatch: availability filter,
 // queue-depth tiebreak, then a shortest-positioning-time estimate on both

@@ -11,13 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "array/host_driver.h"
-#include "core/afraid_controller.h"
+#include "array/scheme.h"
 #include "core/experiment.h"
+#include "core/scheme_registry.h"
 #include "disk/disk_model.h"
 #include "sim/simulator.h"
 
@@ -96,7 +101,12 @@ void RunPhase(Simulator* sim, HostDriver* driver, int64_t cap, uint64_t salt) {
   ASSERT_TRUE(driver->Drained());
 }
 
-TEST(WritePathAllocTest, SteadyStateRequestPathIsAllocationFree) {
+// Every registered scheme, plus the raid5 alias (AFRAID under the RAID 5
+// policy), so every client write path -- AFRAID and RAID 5 modes, RAID 6's
+// read-modify-write, the mirror pair, parity logging -- is covered.
+class WritePathAllocTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WritePathAllocTest, SteadyStateRequestPathIsAllocationFree) {
   ArrayConfig cfg;
   cfg.disk_spec = DiskSpec::TinyTestDisk();
   cfg.num_disks = 5;
@@ -104,12 +114,16 @@ TEST(WritePathAllocTest, SteadyStateRequestPathIsAllocationFree) {
   cfg.track_content = false;  // Steady-state data path, not the test oracle.
 
   Simulator sim;
-  AfraidController ctl(&sim, cfg, MakePolicy(PolicySpec::AfraidBaseline()),
-                       AvailabilityParamsFor(cfg));
-  HostDriver driver(&sim, &ctl, cfg.MaxActive());
+  std::string scheme;
+  PolicySpec policy = PolicySpec::AfraidBaseline();
+  ASSERT_TRUE(SchemeRegistry::Resolve(GetParam(), &scheme, &policy));
+  const SchemeContext ctx{&sim, cfg, policy, AvailabilityParamsFor(cfg), Probe()};
+  const std::unique_ptr<ArrayScheme> ctl = SchemeRegistry::Create(scheme, ctx);
+  ASSERT_NE(ctl, nullptr);
+  HostDriver driver(&sim, ctl.get(), cfg.MaxActive());
   driver.ReserveLatencySamples(4096);  // Three phases x 600 requests fit.
 
-  const int64_t cap = ctl.DataCapacityBytes();
+  const int64_t cap = ctl->DataCapacityBytes();
 
   // Two warm-up rounds: the first grows pools to the workload's high-water
   // mark, the second confirms the marks are stable before measuring.
@@ -121,9 +135,22 @@ TEST(WritePathAllocTest, SteadyStateRequestPathIsAllocationFree) {
   const uint64_t after = g_new_calls.load(std::memory_order_relaxed);
 
   EXPECT_EQ(after - before, 0u)
-      << "steady-state request path performed " << (after - before)
+      << GetParam() << ": steady-state request path performed " << (after - before)
       << " heap allocations";
 }
+
+std::vector<std::string> WriteSchemes() {
+  std::vector<std::string> names = SchemeRegistry::List();
+  names.push_back("raid5");
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryWritePath, WritePathAllocTest, ::testing::ValuesIn(WriteSchemes()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 // One disk-level phase: bursts of submits whose completions re-enter Submit
 // (the controllers' read-modify-write chains do), plus a failure and a
@@ -163,7 +190,7 @@ void RunDiskPhase(Simulator* sim, DiskModel* disk, uint64_t salt) {
 // The disk's submit/complete cycle on its own: ops live in pooled slots, so
 // once the pool and the event slabs reach the workload's high-water mark no
 // further heap allocation happens.
-TEST(WritePathAllocTest, DiskSubmitCompleteIsAllocationFree) {
+TEST(DiskAllocTest, DiskSubmitCompleteIsAllocationFree) {
   Simulator sim;
   DiskModel disk(&sim, DiskSpec::TinyTestDisk(), 0);
   RunDiskPhase(&sim, &disk, 1);
